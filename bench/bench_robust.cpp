@@ -8,7 +8,8 @@
 //   - communication delta, measured exactly by net::CommStats;
 //   - wall time of the clean robust run and of a within-budget faulted run
 //     (FaultPlan::random injects exactly e Byzantine + c unavailable
-//     servers) including Berlekamp-Welch decoding and any retries.
+//     servers over a zero-latency SimStarNetwork) including Berlekamp-Welch
+//     decoding and any retries.
 //
 // `--smoke` shrinks the database so CI can run the full flow in seconds.
 // Emits BENCH_robust.json (see bench_util.h JsonReport) next to the tables.
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
       // Within-budget faulted run: exactly e Byzantine + c unavailable.
       crypto::Prg plan_prg("e8-itpir-plan");
       const net::FaultPlan plan = net::FaultPlan::random(plan_prg, k, b.e, b.c);
-      net::FaultyStarNetwork faulty_net(k, plan);
+      net::SimStarNetwork faulty_net(k, net::SimConfig{}, plan);
       crypto::Prg fault_prg("e8-itpir-fault");
       bench::Stopwatch fault_sw;
       const net::RobustResult faulted =
@@ -165,7 +166,7 @@ int main(int argc, char** argv) {
 
       crypto::Prg plan_prg("e8-sum-plan");
       const net::FaultPlan plan = net::FaultPlan::random(plan_prg, k, b.e, b.c);
-      net::FaultyStarNetwork faulty_net(k, plan);
+      net::SimStarNetwork faulty_net(k, net::SimConfig{}, plan);
       crypto::Prg fault_prg("e8-sum-fault");
       bench::Stopwatch fault_sw;
       const net::RobustResult faulted =

@@ -1,6 +1,6 @@
 // Adaptive Byzantine adversary engine: strategic, colluding, content-aware.
 //
-// Every fault the PR 4 `FaultPlan` injects is *oblivious* — a seeded
+// Every fault a `FaultPlan` injects is *oblivious* — a seeded
 // schedule fixed before the protocol starts, blind to message content. Real
 // attacks on deployed PIR-style protocols are not: the Bringer–Chabanne
 // EPIR break and the Beimel–Nissim–Omri privacy decomposition both condition
@@ -16,17 +16,17 @@
 //     so <= e colluders can coordinate (agree on one forged polynomial,
 //     crash in the same instant, compare query arrival times to detect
 //     hedge dispatches);
-//   * the networks (`FaultyStarNetwork`, `SimStarNetwork`) interpose the
-//     engine on the server->client response path: a controlled server's
-//     honest answer can be sent, replaced, dropped, or delayed — decided
-//     per message, after reading it.
+//   * the network (`SimStarNetwork`) interposes the engine on the
+//     server->client response path: a controlled server's honest answer
+//     can be sent, replaced, dropped, or delayed — decided per message,
+//     after reading it.
 //
 // Metering contract: a replaced answer is a real transmission (metered at
 // its actual size); a dropped answer is byzantine *silence* — nothing was
 // transmitted, nothing is metered (same as a crashed server); a delayed
-// answer is metered normally and arrives `delay_us` late (over the untimed
-// FaultyStarNetwork, "late" degrades to the one-attempt kDelayHalfRound
-// mark).
+// answer is metered normally and arrives `delay_us` late (the untimed
+// robust path, which collects at the attempt's start, counts any positive
+// delay as a straggler for that attempt).
 //
 // Determinism: strategies are pure functions of (local views, coalition
 // state, their own config). No wall clocks, no global randomness — a

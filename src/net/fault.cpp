@@ -1,11 +1,6 @@
 #include "net/fault.h"
 
-#include <algorithm>
-#include <string>
 #include <utility>
-
-#include "net/adversary.h"
-#include "obs/obs.h"
 
 namespace spfe::net {
 
@@ -23,27 +18,6 @@ const char* fault_kind_name(FaultKind kind) {
       return "delay-half-round";
   }
   return "?";
-}
-
-FaultAction apply_fault(const Fault* fault, Bytes& message) {
-  if (fault == nullptr) return FaultAction::kDeliver;
-  switch (fault->kind) {
-    case FaultKind::kDrop:
-      return FaultAction::kDrop;
-    case FaultKind::kCorruptByte:
-      if (!message.empty()) {
-        message[fault->byte_index % message.size()] ^= fault->xor_mask;
-      }
-      return FaultAction::kDeliver;
-    case FaultKind::kTruncate:
-      message.resize(std::min(fault->keep_bytes, message.size()));
-      return FaultAction::kDeliver;
-    case FaultKind::kDuplicate:
-      return FaultAction::kDeliverTwice;
-    case FaultKind::kDelayHalfRound:
-      return FaultAction::kDeliverDelayed;
-  }
-  return FaultAction::kDeliver;
 }
 
 void FaultPlan::add(Direction direction, std::size_t server, std::size_t ordinal, Fault fault) {
@@ -153,134 +127,6 @@ FaultPlan FaultPlan::random(crypto::Prg& prg, std::size_t num_servers, std::size
         Fault{FaultKind::kDuplicate, 0, 0x01, 0});
   }
   return plan;
-}
-
-FaultyStarNetwork::FaultyStarNetwork(std::size_t num_servers, FaultPlan plan)
-    : StarNetwork(num_servers),
-      plan_(std::move(plan)),
-      client_ordinal_(num_servers, 0),
-      server_ordinal_(num_servers, 0),
-      server_ops_(num_servers, 0),
-      to_server_delayed_(num_servers),
-      to_client_delayed_(num_servers) {}
-
-bool FaultyStarNetwork::server_crashed(std::size_t s) const {
-  check_server(s);
-  auto point = plan_.crash_point(s);
-  return point.has_value() && server_ops_[s] >= *point;
-}
-
-void FaultyStarNetwork::deliver(std::deque<Bytes>& queue, std::deque<bool>& delayed,
-                                const Fault* fault, Bytes message, bool force_delayed) {
-  switch (apply_fault(fault, message)) {
-    case FaultAction::kDrop:
-      return;
-    case FaultAction::kDeliver:
-      queue.push_back(std::move(message));
-      delayed.push_back(force_delayed);
-      return;
-    case FaultAction::kDeliverTwice:
-      queue.push_back(message);
-      delayed.push_back(force_delayed);
-      queue.push_back(std::move(message));
-      delayed.push_back(force_delayed);
-      return;
-    case FaultAction::kDeliverDelayed:
-      queue.push_back(std::move(message));
-      delayed.push_back(true);
-      return;
-  }
-}
-
-void FaultyStarNetwork::client_send(std::size_t s, Bytes message) {
-  check_server(s);
-  // The client pays for the transmission even when the server is dead or the
-  // wire eats it: metering counts what was sent, not what arrived.
-  meter_send(Direction::kClientToServer, message.size());
-  std::size_t ordinal = client_ordinal_[s]++;
-  if (server_crashed(s)) return;
-  deliver(to_server_[s], to_server_delayed_[s],
-          plan_.find(Direction::kClientToServer, s, ordinal), std::move(message));
-}
-
-void FaultyStarNetwork::server_send(std::size_t s, Bytes message) {
-  check_server(s);
-  if (server_crashed(s)) return;  // a dead server transmits nothing: unmetered
-  bool adv_delayed = false;
-  if (adversary_ != nullptr && adversary_->controls(s)) {
-    AdversaryAction action = adversary_->intercept_answer(s, message, 0);
-    switch (action.kind) {
-      case AdversaryAction::Kind::kSendHonest:
-        break;
-      case AdversaryAction::Kind::kReplace:
-        // A forged answer is a real transmission, metered at its own size.
-        message = std::move(action.replacement);
-        obs::count(obs::Op::kAdvForgedAnswer);
-        break;
-      case AdversaryAction::Kind::kDrop:
-        // Byzantine silence: nothing transmitted, nothing metered — the wire
-        // cannot distinguish it from a crash.
-        obs::count(obs::Op::kAdvDroppedAnswer);
-        return;
-      case AdversaryAction::Kind::kDelay:
-        adv_delayed = true;
-        obs::count(obs::Op::kAdvDelayedAnswer);
-        break;
-    }
-  }
-  meter_send(Direction::kServerToClient, message.size());
-  ++server_ops_[s];
-  std::size_t ordinal = server_ordinal_[s]++;
-  deliver(to_client_[s], to_client_delayed_[s],
-          plan_.find(Direction::kServerToClient, s, ordinal), std::move(message), adv_delayed);
-}
-
-Bytes FaultyStarNetwork::server_receive(std::size_t s) {
-  check_server(s);
-  if (server_crashed(s)) {
-    // Discard anything queued at a dead server so repeated receive attempts
-    // terminate and idle() can still hold after the protocol gives up on it.
-    to_server_[s].clear();
-    to_server_delayed_[s].clear();
-    throw ServerUnavailable("FaultyStarNetwork: server " + std::to_string(s) +
-                            " crashed; receive timed out (" + channel_state(s) + ")");
-  }
-  if (to_server_[s].empty()) {
-    throw ServerUnavailable("FaultyStarNetwork: server timed out waiting for a message (" +
-                            channel_state(s) + ")");
-  }
-  if (to_server_delayed_[s].front()) {
-    to_server_delayed_[s].front() = false;
-    throw DeadlineMiss(
-        "FaultyStarNetwork: message to server delayed past the round deadline (" +
-        channel_state(s) + ")");
-  }
-  Bytes m = std::move(to_server_[s].front());
-  to_server_[s].pop_front();
-  to_server_delayed_[s].pop_front();
-  ++server_ops_[s];
-  if (adversary_ != nullptr && adversary_->controls(s)) {
-    adversary_->observe_query(s, m, 0);
-  }
-  return m;
-}
-
-Bytes FaultyStarNetwork::client_receive(std::size_t s) {
-  check_server(s);
-  if (to_client_[s].empty()) {
-    throw ServerUnavailable("FaultyStarNetwork: client timed out waiting for server " +
-                            std::to_string(s) + " (" + channel_state(s) + ")");
-  }
-  if (to_client_delayed_[s].front()) {
-    to_client_delayed_[s].front() = false;
-    throw DeadlineMiss(
-        "FaultyStarNetwork: answer from server " + std::to_string(s) +
-        " delayed past the round deadline (" + channel_state(s) + ")");
-  }
-  Bytes m = std::move(to_client_[s].front());
-  to_client_[s].pop_front();
-  to_client_delayed_[s].pop_front();
-  return m;
 }
 
 }  // namespace spfe::net

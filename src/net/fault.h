@@ -1,22 +1,25 @@
-// Deterministic fault injection for the message-passing substrate.
+// Deterministic fault schedules for the message-passing substrate.
 //
 // A `FaultPlan` is a seeded, per-server, per-message schedule of network
-// faults; a `FaultyStarNetwork` is a `StarNetwork` decorator that applies it
-// while keeping `CommStats` metering exact (a sender pays for every message
-// it transmits exactly once, however delivery is mangled; a crashed server
-// transmits nothing). Protocols run over the decorator unchanged — the only
-// behavioural difference is that receives on an empty or crashed channel
-// throw the typed `ServerUnavailable` (the simulator's timeout) instead of
-// `ProtocolError`, so robust clients can mark the server as an erasure and
-// keep going. An empty plan is byte-identical to the perfect network.
+// faults. The one network that applies it is `SimStarNetwork` (net/sim.h):
+// `SimStarNetwork(k, SimConfig{}, plan)` is the untimed, zero-latency
+// fault-injecting network. It keeps `CommStats` metering exact (a sender
+// pays for every message it transmits exactly once, however delivery is
+// mangled; a crashed server transmits nothing). Protocols run over it
+// unchanged — the only behavioural difference is that receives on an empty
+// or crashed channel throw the typed `ServerUnavailable` (the simulator's
+// timeout) instead of `ProtocolError`, so robust clients can mark the
+// server as an erasure and keep going. An empty plan is byte-identical to
+// the perfect network.
 //
 // Fault taxonomy (see DESIGN.md "Fault model and robust reconstruction"):
 //   kDrop           message is metered at the sender, never delivered
 //   kCorruptByte    one byte XORed with a nonzero mask (Byzantine server)
 //   kTruncate       only a prefix is delivered (malformed at the parser)
 //   kDuplicate      delivered twice; the duplicate is not metered
-//   kDelayHalfRound first receive attempt times out (ServerUnavailable),
-//                   the message is available on the next attempt
+//   kDelayHalfRound arrives SimConfig::delay_fault_penalty_us late: past
+//                   any sane deadline, so the attempt that sent it counts
+//                   it as a straggler; a later receive still gets it
 //   crash_after     server dies after N channel operations: later receives
 //                   throw ServerUnavailable, later sends vanish unmetered
 #pragma once
@@ -31,8 +34,6 @@
 #include "net/network.h"
 
 namespace spfe::net {
-
-class AdversaryEngine;  // net/adversary.h
 
 enum class FaultKind : std::uint8_t {
   kDrop,
@@ -50,21 +51,6 @@ struct Fault {
   std::uint8_t xor_mask = 0x01;   // kCorruptByte: nonzero flip mask
   std::size_t keep_bytes = 0;     // kTruncate: delivered prefix length
 };
-
-// What delivery should do after a fault mangled the payload. Shared by the
-// untimed FaultyStarNetwork (delay = a one-attempt bool mark) and the
-// virtual-time SimStarNetwork (delay = a concrete latency penalty; see
-// net/sim.h).
-enum class FaultAction : std::uint8_t {
-  kDeliver,        // enqueue the (possibly mutated) message
-  kDrop,           // never enqueue; the sender's metering already happened
-  kDeliverDelayed, // enqueue, but past the receiver's current deadline
-  kDeliverTwice,   // enqueue two copies (only one transmission is metered)
-};
-
-// Applies `fault` (may be null) to `message` in place and says how to
-// enqueue it.
-FaultAction apply_fault(const Fault* fault, Bytes& message);
 
 class FaultPlan {
  public:
@@ -105,44 +91,6 @@ class FaultPlan {
   std::map<std::size_t, std::size_t> crash_points_;
   std::vector<std::size_t> byzantine_;
   std::vector<std::size_t> unavailable_;
-};
-
-class FaultyStarNetwork : public StarNetwork {
- public:
-  FaultyStarNetwork(std::size_t num_servers, FaultPlan plan);
-
-  void client_send(std::size_t s, Bytes message) override;
-  void server_send(std::size_t s, Bytes message) override;
-  // Throw ServerUnavailable (never ProtocolError) when nothing is
-  // deliverable: empty queue, delayed front message, or crashed server.
-  Bytes server_receive(std::size_t s) override;
-  Bytes client_receive(std::size_t s) override;
-
-  bool server_crashed(std::size_t s) const;
-  const FaultPlan& plan() const { return plan_; }
-
-  // Adaptive adversary interposition (net/adversary.h): controlled servers
-  // observe every query and choose per answer to send / forge / drop /
-  // delay. Non-owning — the engine must outlive the network. Over this
-  // untimed network kDelay degrades to the one-attempt delayed mark, same
-  // as FaultKind::kDelayHalfRound.
-  void set_adversary(AdversaryEngine* engine) { adversary_ = engine; }
-  const AdversaryEngine* adversary() const { return adversary_; }
-
- private:
-  // Applies a fault to `message` and enqueues the result (or doesn't).
-  void deliver(std::deque<Bytes>& queue, std::deque<bool>& delayed, const Fault* fault,
-               Bytes message, bool force_delayed = false);
-
-  FaultPlan plan_;
-  AdversaryEngine* adversary_ = nullptr;
-  std::vector<std::size_t> client_ordinal_;  // messages sent client -> s
-  std::vector<std::size_t> server_ordinal_;  // messages sent s -> client
-  std::vector<std::size_t> server_ops_;      // completed receives + sends per server
-  // Parallel to the base queues: true marks a message still held back by
-  // kDelayHalfRound (the first receive attempt clears the mark and throws).
-  std::vector<std::deque<bool>> to_server_delayed_;
-  std::vector<std::deque<bool>> to_client_delayed_;
 };
 
 }  // namespace spfe::net

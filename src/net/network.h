@@ -9,10 +9,10 @@
 // round counts such as the 1.5/2.5 rounds of §3.3.2 variant 2, where the
 // server speaks first.
 //
-// The send/receive methods are virtual so a decorator can inject faults
-// underneath an unmodified protocol implementation (see net/fault.h for the
-// adversarial `FaultyStarNetwork`); the base class always delivers
-// perfectly.
+// The send/receive methods are virtual so a decorator can inject faults and
+// latency underneath an unmodified protocol implementation (see net/sim.h
+// for `SimStarNetwork`, the one network that applies a net/fault.h
+// `FaultPlan`); the base class always delivers perfectly.
 #pragma once
 
 #include <cstdint>

@@ -91,21 +91,10 @@ void drain_star_network(StarNetwork& net) {
     sim->discard_in_flight();
     return;
   }
+  // A plain network delivers every queued message.
   for (std::size_t s = 0; s < net.num_servers(); ++s) {
-    // Each receive either pops a message, clears a delay mark, or (for a
-    // crashed server) clears the whole queue — so both loops terminate.
-    while (net.server_has_message(s)) {
-      try {
-        net.server_receive(s);
-      } catch (const ServerUnavailable&) {
-      }
-    }
-    while (net.client_has_message(s)) {
-      try {
-        net.client_receive(s);
-      } catch (const ServerUnavailable&) {
-      }
-    }
+    while (net.server_has_message(s)) net.server_receive(s);
+    while (net.client_has_message(s)) net.client_receive(s);
   }
 }
 

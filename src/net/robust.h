@@ -32,8 +32,11 @@
 //     whichever answers land first. Every server still sees at most one
 //     point of the attempt's degree-t curve, so t-privacy is untouched
 //     (see DESIGN.md "Time, deadlines, and hedging").
-// Over a plain (untimed) network, or with `timing.enabled == false`, the
-// driver is byte-identical to the untimed robust path.
+// Otherwise the driver runs the untimed robust path: one zero-time round
+// per attempt. Over a SimStarNetwork it collects answers with the deadline
+// at the attempt's start, so an answer that is not ready then (a delay
+// fault, an adversary's delay) is a straggler erasure for that attempt; at
+// zero latency the clock never moves.
 #pragma once
 
 #include <algorithm>
@@ -186,10 +189,10 @@ struct RobustResult {
   RobustnessReport report;
 };
 
-// Discards every queued message so `net.idle()` holds again, swallowing the
-// ServerUnavailable timeouts thrown while flushing delayed/crashed channels.
-// Over a SimStarNetwork the abandoned messages are discarded without moving
-// the clock (the client does not wait for answers it no longer wants).
+// Discards every queued message so `net.idle()` holds again. Over a
+// SimStarNetwork the abandoned messages are dropped without being received,
+// so the clock does not move (the client does not wait for answers it no
+// longer wants).
 void drain_star_network(StarNetwork& net);
 
 namespace detail {
@@ -265,7 +268,7 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
   };
 
   if (!timed) {
-    // ------------------- untimed path (byte-identical to PR 4) -------------
+    // ---------------------------- untimed path ---------------------------------
     for (std::size_t attempt = 0; attempt < cfg.max_attempts; ++attempt) {
       obs::Span attempt_span("robust.attempt");
       attempt_span.note("attempt=" + std::to_string(attempt));
@@ -287,7 +290,10 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
       // or rejected it sends nothing.
       for (std::size_t s = 0; s < k; ++s) server_phase(s, attempt);
 
-      // Client side: collect whatever arrived.
+      // Client side: collect whatever arrived. Over a SimStarNetwork that is
+      // whatever is ready at the attempt's start; anything later stays
+      // queued until the next drain.
+      if (sim != nullptr) sim->set_deadline(sim->clock().now_us());
       std::vector<V> xs, ys;
       std::vector<std::size_t> owners;  // survivor -> server index
       for (std::size_t s = 0; s < k; ++s) {
@@ -308,13 +314,8 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
                                   Blame::kByzantine};
           }
         }
-        while (net.client_has_message(s)) {
-          try {
-            net.client_receive(s);
-          } catch (const ServerUnavailable&) {
-          }
-        }
       }
+      if (sim != nullptr) sim->set_deadline(SimStarNetwork::kNoDeadline);
 
       if (xs.size() >= degree + 1) {
         const auto decoding = field::decode_with_erasures(field, xs, ys, degree);

@@ -17,7 +17,7 @@ SimConfig SimConfig::uniform(std::size_t k, ServerProfile profile,
   return cfg;
 }
 
-LatencyModel::LatencyModel(const SimConfig& config) : config_(config), base_(config.seed) {
+LatencyModel::LatencyModel(SimConfig config) : config_(std::move(config)), base_(config_.seed) {
   for (const auto& windows : config_.outages) {
     for (const Outage& o : windows) {
       if (o.end_us < o.begin_us) {
@@ -57,32 +57,9 @@ bool LatencyModel::in_outage(std::size_t server, std::uint64_t at_us) const {
   return false;
 }
 
-std::uint64_t LatencyModel::quantile_us(std::size_t server, double q,
-                                        std::size_t samples) const {
-  if (q <= 0.0 || q > 1.0 || samples == 0) {
-    throw InvalidArgument("LatencyModel::quantile_us: need q in (0, 1] and samples > 0");
-  }
-  // Sample the marginal distribution with a dedicated fork so the probe
-  // never perturbs the per-message stream.
-  crypto::Prg prg = base_.fork("quantile-" + std::to_string(server));
-  const ServerProfile& p = profile(server);
-  std::vector<std::uint64_t> draws(samples);
-  for (auto& us : draws) {
-    us = p.base_us + (p.jitter_us == 0 ? 0 : prg.uniform(p.jitter_us + 1));
-    if (p.straggle_permille > 0 && prg.uniform(1000) < p.straggle_permille) {
-      us *= p.straggle_factor;
-    }
-  }
-  std::sort(draws.begin(), draws.end());
-  std::size_t rank = static_cast<std::size_t>(q * static_cast<double>(samples));
-  if (rank > 0) --rank;
-  return draws[std::min(rank, samples - 1)];
-}
-
 SimStarNetwork::SimStarNetwork(std::size_t num_servers, SimConfig config, FaultPlan plan)
     : StarNetwork(num_servers),
-      config_(std::move(config)),
-      model_(config_),
+      model_(std::move(config)),
       plan_(std::move(plan)),
       server_now_us_(num_servers, 0),
       client_ordinal_(num_servers, 0),
@@ -90,10 +67,11 @@ SimStarNetwork::SimStarNetwork(std::size_t num_servers, SimConfig config, FaultP
       server_ops_(num_servers, 0),
       to_server_ready_(num_servers),
       to_client_ready_(num_servers) {
-  if (!config_.profiles.empty() && config_.profiles.size() != num_servers) {
+  const SimConfig& cfg = model_.config();
+  if (!cfg.profiles.empty() && cfg.profiles.size() != num_servers) {
     throw InvalidArgument("SimStarNetwork: profile count must match server count");
   }
-  if (!config_.outages.empty() && config_.outages.size() != num_servers) {
+  if (!cfg.outages.empty() && cfg.outages.size() != num_servers) {
     throw InvalidArgument("SimStarNetwork: outage schedule must match server count");
   }
 }
@@ -130,23 +108,41 @@ void SimStarNetwork::discard_in_flight() {
   }
 }
 
-void SimStarNetwork::enqueue(std::size_t s, Direction direction, const Fault* fault,
-                             Bytes message, std::uint64_t depart_us, std::uint64_t ordinal,
+void SimStarNetwork::enqueue(std::size_t s, Direction direction, Bytes message,
+                             std::uint64_t depart_us, std::uint64_t ordinal,
                              std::uint64_t extra_us) {
-  const FaultAction action = apply_fault(fault, message);
-  if (action == FaultAction::kDrop) return;
+  bool twice = false;
+  if (const Fault* fault = plan_.find(direction, s, ordinal)) {
+    switch (fault->kind) {
+      case FaultKind::kDrop:
+        return;  // the sender's metering already happened
+      case FaultKind::kCorruptByte:
+        if (!message.empty()) {
+          message[fault->byte_index % message.size()] ^= fault->xor_mask;
+        }
+        break;
+      case FaultKind::kTruncate:
+        message.resize(std::min(fault->keep_bytes, message.size()));
+        break;
+      case FaultKind::kDuplicate:
+        twice = true;  // the copy is not a transmission: unmetered
+        break;
+      case FaultKind::kDelayHalfRound:
+        extra_us += model_.config().delay_fault_penalty_us;
+        break;
+    }
+  }
   if (model_.in_outage(s, depart_us)) return;  // link down: transmission lost
-  std::uint64_t ready = depart_us + model_.sample_us(direction, s, ordinal) + extra_us;
-  if (action == FaultAction::kDeliverDelayed) ready += config_.delay_fault_penalty_us;
+  const std::uint64_t ready = depart_us + model_.sample_us(direction, s, ordinal) + extra_us;
   auto& queue = direction == Direction::kClientToServer ? to_server_[s] : to_client_[s];
   auto& stamps =
       direction == Direction::kClientToServer ? to_server_ready_[s] : to_client_ready_[s];
-  queue.push_back(message);
-  stamps.push_back(ready);
-  if (action == FaultAction::kDeliverTwice) {
-    queue.push_back(std::move(message));
+  if (twice) {
+    queue.push_back(message);
     stamps.push_back(ready);
   }
+  queue.push_back(std::move(message));
+  stamps.push_back(ready);
 }
 
 void SimStarNetwork::client_send(std::size_t s, Bytes message) {
@@ -156,8 +152,7 @@ void SimStarNetwork::client_send(std::size_t s, Bytes message) {
   meter_send(Direction::kClientToServer, message.size());
   const std::uint64_t ordinal = client_ordinal_[s]++;
   if (server_crashed(s)) return;
-  enqueue(s, Direction::kClientToServer, plan_.find(Direction::kClientToServer, s, ordinal),
-          std::move(message), clock_.now_us(), ordinal);
+  enqueue(s, Direction::kClientToServer, std::move(message), clock_.now_us(), ordinal);
 }
 
 void SimStarNetwork::server_send(std::size_t s, Bytes message) {
@@ -188,8 +183,8 @@ void SimStarNetwork::server_send(std::size_t s, Bytes message) {
   meter_send(Direction::kServerToClient, message.size());
   ++server_ops_[s];
   const std::uint64_t ordinal = server_ordinal_[s]++;
-  enqueue(s, Direction::kServerToClient, plan_.find(Direction::kServerToClient, s, ordinal),
-          std::move(message), server_now_us_[s], ordinal, adv_extra_us);
+  enqueue(s, Direction::kServerToClient, std::move(message), server_now_us_[s], ordinal,
+          adv_extra_us);
 }
 
 Bytes SimStarNetwork::server_receive(std::size_t s) {

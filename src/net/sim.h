@@ -1,12 +1,16 @@
-// Deterministic virtual-time network simulation (discrete-event).
+// Deterministic virtual-time network simulation (discrete-event), and the
+// one network that injects faults.
 //
-// The fault layer (net/fault.h) models *what* goes wrong on the wire; this
-// layer models *when*. A `SimClock` is a seedless virtual microsecond
-// counter that only ever moves forward; a `SimStarNetwork` is a StarNetwork
-// whose messages carry per-message latencies drawn from seeded per-server
-// distributions (base + jitter + occasional straggler multiplier), so
-// stragglers, deadlines, retry policy, and hedged queries become concrete,
-// testable virtual-time behaviours instead of abstract flags.
+// net/fault.h schedules *what* goes wrong on the wire; this layer applies
+// that schedule and models *when* messages arrive. A `SimClock` is a
+// seedless virtual microsecond counter that only ever moves forward; a
+// `SimStarNetwork` is a StarNetwork whose messages carry per-message
+// latencies drawn from seeded per-server distributions (base + jitter +
+// occasional straggler multiplier), so stragglers, deadlines, retry policy,
+// and hedged queries become concrete, testable virtual-time behaviours
+// instead of abstract flags. With the default `SimConfig{}` every latency
+// is zero and the clock never moves: `SimStarNetwork(k, SimConfig{}, plan)`
+// is the untimed fault-injecting network.
 //
 // Timeline model (one client timeline == the global clock, one timeline per
 // server):
@@ -20,16 +24,16 @@
 //   * client_receive: delivers the front message after advancing the global
 //     clock to its ready time — unless a deadline is set and the message is
 //     not ready by it, in which case the clock advances to the deadline and
-//     the receive throws `ServerUnavailable` (a deadline miss; the message
+//     the receive throws `DeadlineMiss` (a `ServerUnavailable`; the message
 //     stays in flight and a later receive with a longer deadline can still
 //     get it — that is how stragglers eventually land and how hedging wins).
 //
-// Fault integration: a FaultPlan applies exactly as in FaultyStarNetwork
-// (same metering contract: the sender pays once per transmission, a crashed
-// server transmits nothing, duplicates are free), except that
-// `kDelayHalfRound` now adds `SimConfig::delay_fault_penalty_us` of latency
-// — a concrete virtual-time delay — instead of the untimed one-attempt
-// bool mark.
+// Faults: the sender pays once per transmission, a crashed server
+// transmits nothing, duplicates are free, and `kDelayHalfRound` adds
+// `SimConfig::delay_fault_penalty_us` of latency. A client that receives
+// with its deadline at the attempt's start (the untimed robust path) thus
+// sees a delayed answer as a straggler for that attempt — the one-attempt
+// delay of the untimed fault model — while the clock stays put.
 //
 // Determinism: every latency is sampled by (direction, server, ordinal)
 // from the SimConfig seed, independent of call interleaving and of
@@ -99,8 +103,7 @@ struct SimConfig {
   std::vector<ServerProfile> profiles;       // size k, or empty = default all
   std::vector<std::vector<Outage>> outages;  // per server, or empty
   // Extra latency a FaultKind::kDelayHalfRound adds — large enough to blow
-  // any sane per-attempt deadline, mirroring the untimed "delayed past the
-  // round deadline" semantics.
+  // any sane per-attempt deadline.
   std::uint64_t delay_fault_penalty_us = 1'000'000;
 
   // Same profile for every one of `k` servers.
@@ -112,17 +115,13 @@ struct SimConfig {
 // ordinal).
 class LatencyModel {
  public:
-  explicit LatencyModel(const SimConfig& config);
+  explicit LatencyModel(SimConfig config);
 
   std::uint64_t sample_us(Direction direction, std::size_t server,
                           std::uint64_t ordinal) const;
   bool in_outage(std::size_t server, std::uint64_t at_us) const;
   const ServerProfile& profile(std::size_t server) const;
-
-  // Nearest-rank quantile of the single-message latency distribution of
-  // `server` (by seeded sampling, not analytically) — a principled default
-  // for hedge deadlines before any live observations exist.
-  std::uint64_t quantile_us(std::size_t server, double q, std::size_t samples = 200) const;
+  const SimConfig& config() const { return config_; }
 
  private:
   SimConfig config_;
@@ -137,7 +136,6 @@ class SimStarNetwork : public StarNetwork {
 
   SimClock& clock() { return clock_; }
   const SimClock& clock() const { return clock_; }
-  const LatencyModel& latency_model() const { return model_; }
   const FaultPlan& plan() const { return plan_; }
 
   // Adaptive adversary interposition (net/adversary.h): controlled servers
@@ -177,12 +175,13 @@ class SimStarNetwork : public StarNetwork {
   Bytes client_receive(std::size_t s) override;
 
  private:
-  void enqueue(std::size_t s, Direction direction, const Fault* fault, Bytes message,
-               std::uint64_t depart_us, std::uint64_t ordinal, std::uint64_t extra_us = 0);
+  // Applies the plan's fault for this (direction, server, ordinal) slot and
+  // queues the result, unless the fault or a link outage loses it.
+  void enqueue(std::size_t s, Direction direction, Bytes message, std::uint64_t depart_us,
+               std::uint64_t ordinal, std::uint64_t extra_us = 0);
 
   SimClock clock_;
-  SimConfig config_;
-  LatencyModel model_;
+  LatencyModel model_;  // owns the SimConfig
   FaultPlan plan_;
   AdversaryEngine* adversary_ = nullptr;
   std::uint64_t deadline_us_ = kNoDeadline;

@@ -319,13 +319,14 @@ TEST(AdversaryInterpositionTest, SimNetworkHonorsTheMeteringContract) {
   EXPECT_EQ(totals[static_cast<std::size_t>(obs::Op::kAdvDelayedAnswer)], 1u);
 }
 
+// The same interposition over the zero-latency (untimed) network.
 TEST(AdversaryInterpositionTest, FaultyNetworkDropsAndDelayMarks) {
   // Drop: the client sees a plain timeout (crash-indistinguishable).
   {
     auto strategy = std::make_shared<SelectiveFailureStrategy>(
         [](BytesView) { return true; }, AdversaryAction::drop());
     AdversaryEngine engine(strategy, {0});
-    FaultyStarNetwork net(1, FaultPlan{});
+    SimStarNetwork net(1, SimConfig{});
     net.set_adversary(&engine);
     net.client_send(0, Bytes{7});
     (void)net.server_receive(0);
@@ -335,20 +336,24 @@ TEST(AdversaryInterpositionTest, FaultyNetworkDropsAndDelayMarks) {
     EXPECT_TRUE(net.idle());
   }
 
-  // Delay degrades to the untimed one-attempt mark: first receive throws
-  // DeadlineMiss, the retry gets the answer.
+  // Delay at zero latency: the answer misses a deadline at the send time
+  // (the untimed robust path's collection point), then lands `delay_us`
+  // later for a receive that waits for it.
   {
     auto strategy = std::make_shared<SelectiveFailureStrategy>(
         [](BytesView) { return true; }, AdversaryAction::delay(9000));
     AdversaryEngine engine(strategy, {0});
-    FaultyStarNetwork net(1, FaultPlan{});
+    SimStarNetwork net(1, SimConfig{});
     net.set_adversary(&engine);
     net.client_send(0, Bytes{7});
     (void)net.server_receive(0);
     net.server_send(0, field_answer(9));
     EXPECT_EQ(net.stats().server_to_client_bytes, 8u);
+    net.set_deadline(0);
     EXPECT_THROW((void)net.client_receive(0), DeadlineMiss);
+    net.set_deadline(SimStarNetwork::kNoDeadline);
     EXPECT_EQ(read_field_answer(net.client_receive(0)), 9u);
+    EXPECT_EQ(net.clock().now_us(), 9000u);
   }
 }
 
@@ -436,7 +441,7 @@ TEST(AdversarySoundnessTest, OverBudgetLiarCoalitionForcesTypedErrorNeverWrong) 
   {
     AdversaryEngine engine(
         std::make_shared<ConsistentLieStrategy>(field.modulus(), 987654321), {0, 1});
-    FaultyStarNetwork net(k, FaultPlan{});
+    SimStarNetwork net(k, SimConfig{});
     net.set_adversary(&engine);
     RobustConfig rc;
     rc.max_attempts = 3;
@@ -458,7 +463,7 @@ TEST(AdversarySoundnessTest, OverBudgetLiarCoalitionForcesTypedErrorNeverWrong) 
   {
     AdversaryEngine engine(
         std::make_shared<ConsistentLieStrategy>(field.modulus(), 987654321), {0});
-    FaultyStarNetwork net(k, FaultPlan{});
+    SimStarNetwork net(k, SimConfig{});
     net.set_adversary(&engine);
     Prg prg("one-liar");
     const auto seed = prg.fork_seed("spir");
@@ -621,7 +626,7 @@ KillTally selective_failure_tally(std::size_t index, std::size_t trials) {
     auto strategy = std::make_shared<SelectiveFailureStrategy>(
         SelectiveFailureStrategy::byte_mask(0, 0x01), AdversaryAction::drop());
     AdversaryEngine engine(strategy, {0});
-    FaultyStarNetwork net(7, FaultPlan{});
+    SimStarNetwork net(7, SimConfig{});
     net.set_adversary(&engine);
     RobustConfig rc;
     rc.max_attempts = 10;
@@ -683,7 +688,7 @@ double leaky_protocol_kill_rate(std::uint64_t secret_bit, std::size_t trials) {
     auto strategy = std::make_shared<SelectiveFailureStrategy>(
         SelectiveFailureStrategy::byte_mask(0, 0x01), AdversaryAction::drop());
     AdversaryEngine engine(strategy, {0});
-    FaultyStarNetwork net(2, FaultPlan{});
+    SimStarNetwork net(2, SimConfig{});
     net.set_adversary(&engine);
     RobustConfig rc;
     const auto make_queries = [&](std::size_t, std::vector<std::uint64_t>& abscissae) {
@@ -739,7 +744,7 @@ TEST(AdversarySessionTest, SessionBlameTallyPinsTheLiar) {
   const std::size_t k = provisioned_servers(6, 1, 0);  // 9: room for one lie
 
   AdversaryEngine engine(std::make_shared<ConsistentLieStrategy>(field.modulus(), 77), {3});
-  FaultyStarNetwork net(k, FaultPlan{});
+  SimStarNetwork net(k, SimConfig{});
   net.set_adversary(&engine);
 
   spfe::protocols::RobustStatsSession session(field, 64, 2, k, 1,

@@ -9,9 +9,9 @@
 //   * the network drains back to idle either way;
 //   * the same schedule label replays to a byte-identical transcript (and
 //     report) at every SPFE_THREADS setting;
-//   * with timing disabled, a zero-latency SimStarNetwork is byte-identical
-//     to the PR 4 FaultyStarNetwork robust path, and a slack timed run is
-//     byte-identical to the untimed transcript;
+//   * with timing disabled, a zero-latency SimStarNetwork reproduces the
+//     recorded untimed robust runs (fault_goldens.h), and a slack timed run
+//     is byte-identical to the untimed transcript;
 //   * hedging beats head-of-line-blocking stragglers by >= 2x in virtual
 //     completion time (the bench_robust exit-code gate, asserted here on a
 //     deterministic schedule);
@@ -26,6 +26,7 @@
 
 #include "common/parallel.h"
 #include "crypto/prg.h"
+#include "fault_goldens.h"
 #include "field/fp64.h"
 #include "net/adversary.h"
 #include "net/fault.h"
@@ -43,31 +44,16 @@ using spfe::crypto::Prg;
 using spfe::field::Fp64;
 using namespace spfe::net;
 namespace obs = spfe::obs;
+using spfe::goldens::expect_golden;
+using spfe::goldens::make_golden_net;
+using spfe::goldens::RecordingNet;
+using spfe::goldens::RunDigest;
 
 std::vector<std::uint64_t> test_database(std::size_t n) {
   std::vector<std::uint64_t> db(n);
   for (std::size_t i = 0; i < n; ++i) db[i] = i * i + 3;
   return db;
 }
-
-// Send-transcript recorder (same channel numbering as fault_fuzz_test).
-template <typename Base>
-class RecordingNet : public Base {
- public:
-  template <typename... Args>
-  explicit RecordingNet(Args&&... args) : Base(std::forward<Args>(args)...) {}
-
-  void client_send(std::size_t s, Bytes message) override {
-    log.emplace_back(s, message);
-    Base::client_send(s, std::move(message));
-  }
-  void server_send(std::size_t s, Bytes message) override {
-    log.emplace_back(this->num_servers() + s, message);
-    Base::server_send(s, std::move(message));
-  }
-
-  std::vector<std::pair<std::size_t, Bytes>> log;
-};
 
 struct Outcome {
   bool ok = false;
@@ -207,13 +193,11 @@ TEST(ChaosSweepTest, TranscriptsAreThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Parity with the PR 4 untimed robust path.
+// Parity with the untimed robust path.
 
-// Timing disabled: a zero-latency SimStarNetwork must be byte-identical to
-// the FaultyStarNetwork under the same fault plan. Plans are byzantine-only:
-// corruption, truncation, and duplication have identical semantics on both
-// networks, while kDelayHalfRound deliberately differs (one-attempt mark vs
-// a concrete latency penalty).
+// Timing disabled: a zero-latency SimStarNetwork must reproduce, byte for
+// byte, the runs recorded over the untimed fault-injecting network it
+// replaced (tests/data/fault_goldens.txt), with virtual time standing still.
 TEST(ChaosParityTest, UntimedSimMatchesFaultyNetworkByteForByte) {
   const Fp64 field(Fp64::kMersenne61);
   const auto db = test_database(64);
@@ -223,32 +207,15 @@ TEST(ChaosParityTest, UntimedSimMatchesFaultyNetworkByteForByte) {
 
   for (std::size_t rep = 0; rep < 8; ++rep) {
     const std::string label = "parity-" + std::to_string(rep);
-    Prg plan_prg_a(label);
-    Prg plan_prg_b(label);
-    const FaultPlan plan_a = FaultPlan::random(plan_prg_a, k, 1, 0);
-    const FaultPlan plan_b = FaultPlan::random(plan_prg_b, k, 1, 0);
-
-    RecordingNet<FaultyStarNetwork> faulty(k, plan_a);
-    Prg prg_a("proto-" + label);
-    const auto seed_a = prg_a.fork_seed("spir");
-    const RobustResult res_a = proto.run_robust(faulty, db, indices, seed_a, prg_a);
-
-    RecordingNet<SimStarNetwork> sim(k, SimConfig{}, plan_b);
-    Prg prg_b("proto-" + label);
-    const auto seed_b = prg_b.fork_seed("spir");
-    const RobustResult res_b = proto.run_robust(sim, db, indices, seed_b, prg_b);
-
-    EXPECT_EQ(res_a.value, res_b.value) << label;
-    EXPECT_EQ(res_a.report.summary(), res_b.report.summary()) << label;
-    EXPECT_EQ(faulty.log, sim.log) << label;
-    EXPECT_EQ(faulty.stats().client_to_server_bytes, sim.stats().client_to_server_bytes);
-    EXPECT_EQ(faulty.stats().server_to_client_bytes, sim.stats().server_to_client_bytes);
-    EXPECT_EQ(faulty.stats().client_to_server_messages, sim.stats().client_to_server_messages);
-    EXPECT_EQ(faulty.stats().server_to_client_messages, sim.stats().server_to_client_messages);
-    EXPECT_EQ(faulty.stats().half_rounds, sim.stats().half_rounds);
-    EXPECT_EQ(sim.clock().now_us(), 0u) << label;  // zero latency: time stands still
-    EXPECT_TRUE(faulty.idle());
-    EXPECT_TRUE(sim.idle());
+    Prg plan_prg(label);
+    const auto net = make_golden_net(k, FaultPlan::random(plan_prg, k, 1, 0));
+    Prg prg("proto-" + label);
+    const auto seed = prg.fork_seed("spir");
+    RunDigest digest;
+    digest.absorb_run(*net, [&] { return proto.run_robust(*net, db, indices, seed, prg); });
+    expect_golden("chaos-parity/" + label, digest);
+    EXPECT_EQ(net->clock().now_us(), 0u) << label;  // zero latency: time stands still
+    EXPECT_TRUE(net->idle()) << label;
   }
 }
 
@@ -261,7 +228,7 @@ TEST(ChaosParityTest, SlackTimedPathMatchesUntimedTranscript) {
   const std::size_t k = provisioned_servers(6, 1, 1);
   const spfe::protocols::MultiServerSumSpfe proto(field, 64, 2, k, 1);
 
-  RecordingNet<FaultyStarNetwork> untimed(k, FaultPlan{});
+  RecordingNet<SimStarNetwork> untimed(k, SimConfig{});
   Prg prg_a("slack-timed");
   const auto seed_a = prg_a.fork_seed("spir");
   const RobustResult res_a = proto.run_robust(untimed, db, indices, seed_a, prg_a);

@@ -1,15 +1,17 @@
-// Unit tests for the fault-injection layer (net/fault.h): fault application
-// semantics, crash/timeout behaviour, and exact CommStats metering under
-// every fault kind.
+// Unit tests for fault injection: FaultPlan (net/fault.h) as applied by the
+// zero-latency SimStarNetwork (net/sim.h) — fault semantics, crash/timeout
+// behaviour, and exact CommStats metering under every fault kind.
 #include <gtest/gtest.h>
 
 #include "crypto/prg.h"
 #include "net/fault.h"
 #include "net/robust.h"
+#include "net/sim.h"
 
 namespace {
 
 using spfe::Bytes;
+using spfe::DeadlineMiss;
 using spfe::ProtocolError;
 using spfe::ServerUnavailable;
 using namespace spfe::net;
@@ -59,9 +61,9 @@ TEST(FaultPlanTest, RandomPlanDisjointSetsAndDeterministic) {
   EXPECT_THROW(FaultPlan::random(prg3, 3, 2, 2), spfe::InvalidArgument);
 }
 
-TEST(FaultyStarNetworkTest, EmptyPlanBehavesLikePerfectNetwork) {
+TEST(FaultInjectionTest, EmptyPlanBehavesLikePerfectNetwork) {
   StarNetwork perfect(3);
-  FaultyStarNetwork faulty(3, FaultPlan{});
+  SimStarNetwork faulty(3, SimConfig{}, FaultPlan{});
   for (std::size_t s = 0; s < 3; ++s) {
     perfect.client_send(s, msg({1, 2, 3}));
     faulty.client_send(s, msg({1, 2, 3}));
@@ -79,16 +81,16 @@ TEST(FaultyStarNetworkTest, EmptyPlanBehavesLikePerfectNetwork) {
   EXPECT_TRUE(faulty.idle());
 }
 
-TEST(FaultyStarNetworkTest, EmptyReceiveThrowsServerUnavailable) {
-  FaultyStarNetwork net(2, FaultPlan{});
+TEST(FaultInjectionTest, EmptyReceiveThrowsServerUnavailable) {
+  SimStarNetwork net(2, SimConfig{});
   EXPECT_THROW(net.server_receive(0), ServerUnavailable);
   EXPECT_THROW(net.client_receive(1), ServerUnavailable);
 }
 
-TEST(FaultyStarNetworkTest, DropIsMeteredButNotDelivered) {
+TEST(FaultInjectionTest, DropIsMeteredButNotDelivered) {
   FaultPlan plan;
   plan.add(Direction::kClientToServer, 0, 0, Fault{FaultKind::kDrop, 0, 0x01, 0});
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.client_send(0, msg({1, 2, 3, 4}));
   EXPECT_EQ(net.stats().client_to_server_bytes, 4u);
   EXPECT_EQ(net.stats().client_to_server_messages, 1u);
@@ -99,29 +101,29 @@ TEST(FaultyStarNetworkTest, DropIsMeteredButNotDelivered) {
   EXPECT_EQ(net.server_receive(0), msg({5}));
 }
 
-TEST(FaultyStarNetworkTest, CorruptByteFlipsExactlyOneByte) {
+TEST(FaultInjectionTest, CorruptByteFlipsExactlyOneByte) {
   FaultPlan plan;
   plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kCorruptByte, 6, 0xFF, 0});
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.server_send(0, msg({10, 11, 12, 13}));
   // byte_index is reduced mod the message size: 6 % 4 = 2.
   EXPECT_EQ(net.client_receive(0), msg({10, 11, static_cast<std::uint8_t>(12 ^ 0xFF), 13}));
   EXPECT_EQ(net.stats().server_to_client_bytes, 4u);
 }
 
-TEST(FaultyStarNetworkTest, TruncateDeliversPrefixButMetersFull) {
+TEST(FaultInjectionTest, TruncateDeliversPrefixButMetersFull) {
   FaultPlan plan;
   plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kTruncate, 0, 0x01, 2});
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.server_send(0, msg({1, 2, 3, 4, 5}));
   EXPECT_EQ(net.client_receive(0), msg({1, 2}));
   EXPECT_EQ(net.stats().server_to_client_bytes, 5u);
 }
 
-TEST(FaultyStarNetworkTest, DuplicateDeliversTwiceMetersOnce) {
+TEST(FaultInjectionTest, DuplicateDeliversTwiceMetersOnce) {
   FaultPlan plan;
   plan.add(Direction::kClientToServer, 0, 0, Fault{FaultKind::kDuplicate, 0, 0x01, 0});
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.client_send(0, msg({7, 8}));
   EXPECT_EQ(net.stats().client_to_server_messages, 1u);
   EXPECT_EQ(net.stats().client_to_server_bytes, 2u);
@@ -130,20 +132,24 @@ TEST(FaultyStarNetworkTest, DuplicateDeliversTwiceMetersOnce) {
   EXPECT_FALSE(net.server_has_message(0));
 }
 
-TEST(FaultyStarNetworkTest, DelayTimesOutOnceThenDelivers) {
+TEST(FaultInjectionTest, DelayMissesADeadlineThenDelivers) {
   FaultPlan plan;
   plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kDelayHalfRound, 0, 0x01, 0});
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.server_send(0, msg({42}));
   EXPECT_TRUE(net.client_has_message(0));
-  EXPECT_THROW(net.client_receive(0), ServerUnavailable);
+  net.set_deadline(0);
+  EXPECT_THROW(net.client_receive(0), DeadlineMiss);
+  EXPECT_EQ(net.clock().now_us(), 0u);  // the miss waits only until the deadline
+  net.set_deadline(SimStarNetwork::kNoDeadline);
   EXPECT_EQ(net.client_receive(0), msg({42}));
+  EXPECT_EQ(net.clock().now_us(), SimConfig{}.delay_fault_penalty_us);
 }
 
-TEST(FaultyStarNetworkTest, CrashAfterZeroIsDeadOnArrival) {
+TEST(FaultInjectionTest, CrashAfterZeroIsDeadOnArrival) {
   FaultPlan plan;
   plan.crash_after(1, 0);
-  FaultyStarNetwork net(2, plan);
+  SimStarNetwork net(2, SimConfig{}, plan);
   EXPECT_TRUE(net.server_crashed(1));
   EXPECT_FALSE(net.server_crashed(0));
   // Client pays for the send; the dead server never sees it.
@@ -157,10 +163,10 @@ TEST(FaultyStarNetworkTest, CrashAfterZeroIsDeadOnArrival) {
   EXPECT_TRUE(net.idle());
 }
 
-TEST(FaultyStarNetworkTest, CrashAfterOpsCountsReceivesAndSends) {
+TEST(FaultInjectionTest, CrashAfterOpsCountsReceivesAndSends) {
   FaultPlan plan;
   plan.crash_after(0, 2);  // survives receive + send, then dies
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.client_send(0, msg({1}));
   EXPECT_EQ(net.server_receive(0), msg({1}));  // op 1
   net.server_send(0, msg({2}));                // op 2 -> crashes after
@@ -170,10 +176,10 @@ TEST(FaultyStarNetworkTest, CrashAfterOpsCountsReceivesAndSends) {
   EXPECT_THROW(net.server_receive(0), ServerUnavailable);
 }
 
-TEST(FaultyStarNetworkTest, CrashedReceiveClearsBacklog) {
+TEST(FaultInjectionTest, CrashedReceiveClearsBacklog) {
   FaultPlan plan;
   plan.crash_after(0, 1);
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.client_send(0, msg({1}));
   net.client_send(0, msg({2}));
   EXPECT_EQ(net.server_receive(0), msg({1}));  // op 1 -> now dead
@@ -182,13 +188,13 @@ TEST(FaultyStarNetworkTest, CrashedReceiveClearsBacklog) {
   EXPECT_TRUE(net.idle());
 }
 
-TEST(FaultyStarNetworkTest, DroppedMessageStillAdvancesHalfRounds) {
+TEST(FaultInjectionTest, DroppedMessageStillAdvancesHalfRounds) {
   // A dropped message was transmitted: it must participate in half-round
   // direction accounting exactly like a delivered one, otherwise round
   // counts silently depend on the fault plan.
   FaultPlan plan;
   plan.add(Direction::kClientToServer, 0, 0, Fault{FaultKind::kDrop, 0, 0x01, 0});
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.client_send(0, msg({1, 2}));  // dropped, but metered
   EXPECT_EQ(net.stats().half_rounds, 1u);
   net.server_send(0, msg({3}));
@@ -199,12 +205,12 @@ TEST(FaultyStarNetworkTest, DroppedMessageStillAdvancesHalfRounds) {
   EXPECT_EQ(net.stats().half_rounds, perfect.stats().half_rounds);
 }
 
-TEST(FaultyStarNetworkTest, DuplicateDoesNotDoubleCountHalfRounds) {
+TEST(FaultInjectionTest, DuplicateDoesNotDoubleCountHalfRounds) {
   // The duplicate is injected at the queue, not re-transmitted: bytes,
   // messages, AND half-rounds reflect a single send.
   FaultPlan plan;
   plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kDuplicate, 0, 0x01, 0});
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.client_send(0, msg({1}));
   net.server_send(0, msg({2, 3}));
   EXPECT_EQ(net.stats().half_rounds, 2u);
@@ -217,30 +223,32 @@ TEST(FaultyStarNetworkTest, DuplicateDoesNotDoubleCountHalfRounds) {
   EXPECT_EQ(net.stats().half_rounds, 2u);
 }
 
-TEST(FaultyStarNetworkTest, DelayedReceiveThrowDoesNotPerturbStats) {
+TEST(FaultInjectionTest, DelayedReceiveThrowDoesNotPerturbStats) {
   // The timeout thrown by a delayed message and the eventual successful
   // receive are both receive-side events: stats stay byte-for-byte identical
   // through the throw and the retry.
   FaultPlan plan;
   plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kDelayHalfRound, 0, 0x01, 0});
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.server_send(0, msg({9, 9}));
   const CommStats before = net.stats();
-  EXPECT_THROW(net.client_receive(0), ServerUnavailable);
+  net.set_deadline(0);
+  EXPECT_THROW(net.client_receive(0), DeadlineMiss);
   EXPECT_EQ(net.stats().server_to_client_bytes, before.server_to_client_bytes);
   EXPECT_EQ(net.stats().server_to_client_messages, before.server_to_client_messages);
   EXPECT_EQ(net.stats().half_rounds, before.half_rounds);
+  net.set_deadline(SimStarNetwork::kNoDeadline);
   EXPECT_EQ(net.client_receive(0), msg({9, 9}));
   EXPECT_EQ(net.stats().server_to_client_messages, before.server_to_client_messages);
 }
 
-TEST(FaultyStarNetworkTest, ZeroByteMessageSurvivesFaultMetering) {
+TEST(FaultInjectionTest, ZeroByteMessageSurvivesFaultMetering) {
   // Zero-byte messages through the fault layer: metered as one message and
   // a half-round; a corrupt fault on an empty payload must not crash (there
   // is no byte to flip) and still delivers the empty message.
   FaultPlan plan;
   plan.add(Direction::kClientToServer, 0, 0, Fault{FaultKind::kCorruptByte, 3, 0xFF, 0});
-  FaultyStarNetwork net(1, plan);
+  SimStarNetwork net(1, SimConfig{}, plan);
   net.client_send(0, msg({}));
   EXPECT_EQ(net.stats().client_to_server_messages, 1u);
   EXPECT_EQ(net.stats().client_to_server_bytes, 0u);
@@ -248,8 +256,8 @@ TEST(FaultyStarNetworkTest, ZeroByteMessageSurvivesFaultMetering) {
   EXPECT_EQ(net.server_receive(0), msg({}));
 }
 
-TEST(FaultyStarNetworkTest, ErrorMessagesNameServerAndState) {
-  FaultyStarNetwork net(3, FaultPlan{});
+TEST(FaultInjectionTest, ErrorMessagesNameServerAndState) {
+  SimStarNetwork net(3, SimConfig{});
   try {
     net.client_receive(2);
     FAIL() << "expected ServerUnavailable";
@@ -261,12 +269,12 @@ TEST(FaultyStarNetworkTest, ErrorMessagesNameServerAndState) {
   }
 }
 
-TEST(FaultyStarNetworkTest, DrainRestoresIdleUnderDelaysAndCrashes) {
+TEST(FaultInjectionTest, DrainRestoresIdleUnderDelaysAndCrashes) {
   FaultPlan plan;
   plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kDelayHalfRound, 0, 0x01, 0});
   plan.add(Direction::kClientToServer, 1, 0, Fault{FaultKind::kDuplicate, 0, 0x01, 0});
   plan.crash_after(2, 1);
-  FaultyStarNetwork net(3, plan);
+  SimStarNetwork net(3, SimConfig{}, plan);
   net.server_send(0, msg({1}));
   net.client_send(1, msg({2}));
   net.client_send(2, msg({3}));

@@ -7,6 +7,7 @@
 #include "common/serialize.h"
 #include "he/paillier.h"
 #include "net/fault.h"
+#include "net/sim.h"
 #include "pir/batch_pir.h"
 #include "pir/cpir.h"
 #include "pir/itpir.h"
@@ -432,7 +433,7 @@ TEST(PolyItPirRobust, RunRobustSurvivesCrashAndLie) {
   plan.crash_after(2, 0);  // server 2 dead on arrival
   plan.add(net::Direction::kServerToClient, 6, 0,
            net::Fault{net::FaultKind::kCorruptByte, 1, 0x40, 0});  // server 6 lies
-  net::FaultyStarNetwork net(k, plan);
+  net::SimStarNetwork net(k, net::SimConfig{}, plan);
   crypto::Prg prg("itpir-run-robust");
   const auto seed = prg.fork_seed("spir");
   const net::RobustResult res = pir.run_robust(net, db, 29, seed, prg);

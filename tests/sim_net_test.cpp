@@ -77,19 +77,6 @@ TEST(LatencyModelTest, StragglersMultiplyLatency) {
   EXPECT_EQ(model.sample_us(Direction::kServerToClient, 0, 0), 3000u);
 }
 
-TEST(LatencyModelTest, QuantileBracketsTheDistribution) {
-  const LatencyModel model(
-      SimConfig::uniform(2, ServerProfile::typical(), seed_of("lm-quantile")));
-  const ServerProfile p = ServerProfile::typical();
-  const std::uint64_t q50 = model.quantile_us(0, 0.5);
-  const std::uint64_t q99 = model.quantile_us(0, 0.99);
-  EXPECT_GE(q50, p.base_us);
-  EXPECT_LE(q99, p.base_us + p.jitter_us);
-  EXPECT_LE(q50, q99);
-  // Deterministic.
-  EXPECT_EQ(q99, model.quantile_us(0, 0.99));
-}
-
 TEST(LatencyModelTest, RejectsInvertedOutage) {
   SimConfig cfg = SimConfig::uniform(1, ServerProfile{}, seed_of("lm-bad-outage"));
   cfg.outages = {{{50, 10}}};
@@ -368,6 +355,56 @@ TEST(TimedRobustTest, DeadlinesTurnStragglersIntoErasures) {
   ASSERT_EQ(res.report.history.size(), 1u);
   EXPECT_EQ(res.report.history[0].verdicts[2].fate, ServerFate::kUnavailable);
   EXPECT_TRUE(net.idle());
+}
+
+// A delayed *query* reaches its server late; the server still answers, so
+// the answer is a real, metered transmission that lands past the attempt's
+// collection point — a straggler, never a refused query. Untimed (deadline
+// at the attempt start, clock frozen) and timed (a real deadline) agree.
+TEST(TimedRobustTest, DelayedQueryIsAMeteredStraggler) {
+  const Fp64 field(Fp64::kMersenne61);
+  std::vector<std::uint64_t> db(64);
+  for (std::size_t i = 0; i < db.size(); ++i) db[i] = i * 3 + 1;
+  const std::vector<std::size_t> indices = {5, 41};
+  const std::size_t k = provisioned_servers(6, 0, 1);
+  const spfe::protocols::MultiServerSumSpfe proto(field, 64, 2, k, 1);
+  FaultPlan plan;
+  plan.add(Direction::kClientToServer, 4, 0, Fault{FaultKind::kDelayHalfRound, 0, 0x01, 0});
+  ServerProfile fast;
+  fast.base_us = 100;
+
+  for (const bool timed : {false, true}) {
+    const SimConfig cfg =
+        timed ? SimConfig::uniform(k, fast, seed_of("delayed-query")) : SimConfig{};
+    RobustConfig rc;
+    rc.timing.enabled = timed;
+    rc.timing.attempt_timeout_us = 20'000;  // far below the delay penalty
+    const auto run = [&](SimStarNetwork& net) {
+      Prg prg("delayed-query");
+      const auto seed = prg.fork_seed("spir");
+      return proto.run_robust(net, db, indices, seed, prg, rc);
+    };
+    SimStarNetwork clean(k, cfg);
+    const RobustResult baseline = run(clean);
+    SimStarNetwork net(k, cfg, plan);
+    const RobustResult res = run(net);
+
+    EXPECT_EQ(res.value, field.add(db[5], db[41])) << "timed=" << timed;
+    EXPECT_EQ(res.report.attempts, 1u) << "timed=" << timed;
+    EXPECT_EQ(res.report.erasures, 1u) << "timed=" << timed;
+    EXPECT_EQ(res.report.verdicts[4].fate, ServerFate::kUnavailable) << "timed=" << timed;
+    EXPECT_EQ(res.report.verdicts[4].blame, Blame::kStraggler) << "timed=" << timed;
+    // Every server answered, the late one included: metering is unchanged.
+    EXPECT_EQ(net.stats().server_to_client_messages, k) << "timed=" << timed;
+    EXPECT_EQ(net.stats().server_to_client_bytes, clean.stats().server_to_client_bytes)
+        << "timed=" << timed;
+    EXPECT_EQ(net.stats().total_bytes(), clean.stats().total_bytes()) << "timed=" << timed;
+    EXPECT_EQ(baseline.report.erasures, 0u) << "timed=" << timed;
+    if (!timed) {
+      EXPECT_EQ(net.clock().now_us(), 0u);  // untimed: the clock never moves
+    }
+    EXPECT_TRUE(net.idle()) << "timed=" << timed;
+  }
 }
 
 TEST(TimedRobustTest, HedgeSparesRescueStragglers) {
