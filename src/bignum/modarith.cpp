@@ -318,6 +318,10 @@ BigInt MontgomeryContext::from_mont(const std::vector<u64>& a) const {
 BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& /*secret*/ exp) const {
   if (exp.is_negative()) throw InvalidArgument("MontgomeryContext::pow: negative exponent");
   obs::count(obs::Op::kModExp);
+  return pow_uncounted(base, exp);
+}
+
+BigInt MontgomeryContext::pow_uncounted(const BigInt& base, const BigInt& /*secret*/ exp) const {
   if (exp.is_zero()) return BigInt(1).mod_floor(modulus_);
 
   const std::vector<u64> b = to_mont(base);

@@ -48,6 +48,19 @@ BigInt PaillierPublicKey::encryption_factor(const BigInt& r) const {
   return mont_n2_.pow(r, n_);
 }
 
+std::vector<BigInt> PaillierPublicKey::encryption_factors(std::span<const BigInt> rs) const {
+  return mont_n2_.pow_batch(rs, n_);
+}
+
+std::vector<BigInt> PaillierPublicKey::encrypt_all(std::span<const BigInt> ms,
+                                                   crypto::Prg& prg) const {
+  std::vector<BigInt> rs(ms.size());
+  for (BigInt& r : rs) r = random_unit(prg);
+  std::vector<BigInt> cts = encryption_factors(rs);
+  for (std::size_t i = 0; i < cts.size(); ++i) cts[i] = encrypt_with_factor(ms[i], cts[i]);
+  return cts;
+}
+
 BigInt PaillierPublicKey::encrypt_with_factor(const BigInt& m, const BigInt& rn) const {
   obs::count(obs::Op::kPaillierEncrypt);
   const BigInt m_red = m.mod_floor(n_);
@@ -110,9 +123,14 @@ BigInt PaillierPublicKey::rerandomize_with_randomness(const BigInt& c, const Big
 void PaillierPublicKey::rerandomize_all(std::span<BigInt> cts, crypto::Prg& prg) const {
   std::vector<BigInt> rs(cts.size());
   for (BigInt& r : rs) r = random_unit(prg);
-  common::parallel_for(cts.size(), [&](std::size_t i) {
-    cts[i] = rerandomize_with_randomness(cts[i], rs[i]);
-  });
+  const std::vector<BigInt> factors = encryption_factors(rs);
+  for (std::size_t i = 0; i < cts.size(); ++i) cts[i] = rerandomize_with_factor(cts[i], factors[i]);
+}
+
+BigInt PaillierPublicKey::parse_ciphertext(Reader& r) const {
+  BigInt c = BigInt::from_bytes_be(r.raw(ciphertext_bytes()));
+  if (c >= n2_) throw ProtocolError("Paillier: ciphertext out of range");
+  return c;
 }
 
 void PaillierPublicKey::serialize(Writer& w) const { bignum::write_bigint(w, n_); }

@@ -47,6 +47,16 @@ class PaillierPublicKey {
   // The message-independent encryption factor r^N mod N^2 — the entire
   // modexp cost of an encryption. Precomputable offline (he/precomp.h).
   bignum::BigInt encryption_factor(const bignum::BigInt& r) const;
+  // encryption_factor(rs[i]) for every r, computed as one batched
+  // exponentiation to the public exponent N (bignum pow_batch: eight at a
+  // time on AVX-512 IFMA CPUs, fanned out across the global thread pool).
+  std::vector<bignum::BigInt> encryption_factors(std::span<const bignum::BigInt> rs) const;
+  // Encrypts every plaintext with fresh randomness: the units are drawn
+  // serially from `prg` (the order of ms.size() encrypt() calls), then the
+  // factors are computed in one batch. Element i equals encrypt(ms[i], prg)
+  // in that serial order.
+  std::vector<bignum::BigInt> encrypt_all(std::span<const bignum::BigInt> ms,
+                                          crypto::Prg& prg) const;
   // Encrypts m with a precomputed factor rn = encryption_factor(r): one
   // modular multiplication. encrypt_with_factor(m, encryption_factor(r)) ==
   // encrypt_with_randomness(m, r).
@@ -85,9 +95,14 @@ class PaillierPublicKey {
   bignum::BigInt rerandomize_with_randomness(const bignum::BigInt& c,
                                              const bignum::BigInt& r) const;
   // Rerandomizes every ciphertext in place: randomness is pre-drawn
-  // serially (PRG order matches a fully serial run), the modexps fan out
-  // across the global thread pool.
+  // serially (PRG order matches a fully serial run), the factors come from
+  // one encryption_factors batch.
   void rerandomize_all(std::span<bignum::BigInt> cts, crypto::Prg& prg) const;
+
+  // Reads one fixed-width ciphertext off the wire and checks it is < N^2;
+  // throws ProtocolError for an out-of-range value (e.g. all-0xff bytes),
+  // which no encryption under this key can produce.
+  bignum::BigInt parse_ciphertext(Reader& r) const;
 
   void serialize(Writer& w) const;
   static PaillierPublicKey deserialize(Reader& r);

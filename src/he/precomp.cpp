@@ -37,10 +37,7 @@ std::size_t PaillierRandomnessPool::refill() {
   }
   obs::Span span("precomp.refill");
   span.note("paillier factors=" + std::to_string(rs.size()));
-  std::vector<BigInt> factors(rs.size());
-  common::parallel_for(rs.size(), [&](std::size_t i) {
-    factors[i] = pk_.encryption_factor(rs[i]);
-  });
+  std::vector<BigInt> factors = pk_.encryption_factors(rs);
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (BigInt& f : factors) ready_.push_back(std::move(f));

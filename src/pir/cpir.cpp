@@ -59,8 +59,11 @@ std::size_t PaillierPir::chunk_bytes() const {
 
 Bytes PaillierPir::make_query(std::size_t /*secret*/ index, ClientState& state,
                               crypto::Prg& prg) const {
-  return make_query_impl(index, state,
-                         [&](const BigInt& bit) { return pk_.encrypt(bit, prg); });
+  return make_query_impl(index, state, [&](std::size_t count) {
+    std::vector<BigInt> rs(count);
+    for (BigInt& r : rs) r = pk_.random_unit(prg);
+    return pk_.encryption_factors(rs);
+  });
 }
 
 Bytes PaillierPir::make_query(std::size_t /*secret*/ index, ClientState& state,
@@ -68,12 +71,16 @@ Bytes PaillierPir::make_query(std::size_t /*secret*/ index, ClientState& state,
   if (!(pool.public_key() == pk_)) {
     throw InvalidArgument("PaillierPir: pool is for a different public key");
   }
-  return make_query_impl(index, state,
-                         [&](const BigInt& bit) { return pool.encrypt(bit); });
+  return make_query_impl(index, state, [&](std::size_t count) {
+    std::vector<BigInt> factors(count);
+    for (BigInt& f : factors) f = pool.next_factor();
+    return factors;
+  });
 }
 
-Bytes PaillierPir::make_query_impl(std::size_t /*secret*/ index, ClientState& state,
-                                   const std::function<BigInt(const BigInt&)>& encrypt) const {
+Bytes PaillierPir::make_query_impl(
+    std::size_t /*secret*/ index, ClientState& state,
+    const std::function<std::vector<BigInt>(std::size_t)>& factors) const {
   if (index >= n_) throw InvalidArgument("PaillierPir: index out of range");
   SPFE_OBS_SPAN("cpir.make_query");
   state.positions.clear();
@@ -96,10 +103,15 @@ Bytes PaillierPir::make_query_impl(std::size_t /*secret*/ index, ClientState& st
     }
   }
   // SPFE_CT_END
+  std::size_t selectors = 0;
+  for (const std::size_t d : dims_) selectors += d;
+  const std::vector<BigInt> rn = factors(selectors);
   Writer w;
+  std::size_t next = 0;
   for (std::size_t j = 0; j < dims_.size(); ++j) {
     for (std::size_t r = 0; r < dims_[j]; ++r) {
-      w.raw(encrypt(BigInt(bits[j][r])).to_bytes_be_padded(pk_.ciphertext_bytes()));
+      w.raw(pk_.encrypt_with_factor(BigInt(bits[j][r]), rn[next++])
+                .to_bytes_be_padded(pk_.ciphertext_bytes()));
     }
   }
   return w.take();
@@ -114,7 +126,7 @@ Bytes PaillierPir::answer_chunks(std::vector<std::vector<BigInt>> items, BytesVi
   for (std::size_t j = 0; j < dims_.size(); ++j) {
     selectors[j].reserve(dims_[j]);
     for (std::size_t i = 0; i < dims_[j]; ++i) {
-      selectors[j].push_back(BigInt::from_bytes_be(r.raw(pk_.ciphertext_bytes())));
+      selectors[j].push_back(pk_.parse_ciphertext(r));
     }
   }
   r.expect_done();
@@ -131,6 +143,15 @@ Bytes PaillierPir::answer_chunks(std::vector<std::vector<BigInt>> items, BytesVi
     // answer bytes are identical for every thread count and fold kernel.
     std::vector<BigInt> rand0(groups * chunks);
     for (BigInt& unit : rand0) unit = pk_.random_unit(prg);
+    const bool last = level + 1 == dims_.size();
+    if (last) {
+      if (groups != 1) throw InvalidArgument("PaillierPir: dimension mismatch");
+      // The final level rerandomizes every cell with a second unit, drawn
+      // next in the same order. r1^N * r2^N = (r1 r2 mod N)^N mod N^2, so
+      // one factor per cell does both the blinding and the rerandomization.
+      for (BigInt& unit : rand0) unit = bignum::mod_mul(unit, pk_.random_unit(prg), pk_.n());
+    }
+    const std::vector<BigInt> blinders = pk_.encryption_factors(rand0);
     std::vector<std::vector<BigInt>> folded(groups);
     for (auto& group : folded) group.resize(chunks);
     if (fold_kernel_ == FoldKernel::kMultiExp) {
@@ -149,11 +170,10 @@ Bytes PaillierPir::answer_chunks(std::vector<std::vector<BigInt>> items, BytesVi
         }
       }
       const std::vector<BigInt> sums = pk_.mul_scalar_sum_matrix(selectors[level], exps);
-      // Fold in the encrypt(0) blinders; each cell is an independent modexp.
-      common::parallel_for(groups * chunks, [&](std::size_t cell) {
+      for (std::size_t cell = 0; cell < groups * chunks; ++cell) {
         folded[cell / chunks][cell % chunks] =
-            pk_.add(pk_.encrypt_with_randomness(BigInt(0), rand0[cell]), sums[cell]);
-      });
+            pk_.add(pk_.encrypt_with_factor(BigInt(0), blinders[cell]), sums[cell]);
+      }
     } else {
       // Reference fold: per-row mul_scalar folded with add, cells fanned
       // out across the pool. Kept for regression tests and the bench
@@ -161,7 +181,7 @@ Bytes PaillierPir::answer_chunks(std::vector<std::vector<BigInt>> items, BytesVi
       common::parallel_for(groups * chunks, [&](std::size_t cell) {
         const std::size_t g = cell / chunks;
         const std::size_t c = cell % chunks;
-        BigInt acc = pk_.encrypt_with_randomness(BigInt(0), rand0[cell]);
+        BigInt acc = pk_.encrypt_with_factor(BigInt(0), blinders[cell]);
         for (std::size_t row = 0; row < dim; ++row) {
           const std::size_t idx = g * dim + row;
           if (idx >= items.size()) break;
@@ -171,11 +191,9 @@ Bytes PaillierPir::answer_chunks(std::vector<std::vector<BigInt>> items, BytesVi
         folded[g][c] = std::move(acc);
       });
     }
-    if (level + 1 == dims_.size()) {
-      // Final level: rerandomize and emit the ciphertexts.
-      if (folded.size() != 1) throw InvalidArgument("PaillierPir: dimension mismatch");
-      std::vector<BigInt>& out = folded[0];
-      pk_.rerandomize_all(out, prg);
+    if (last) {
+      // Final level: the cells are already rerandomized; emit them.
+      const std::vector<BigInt>& out = folded[0];
       Writer w;
       w.varint(out.size());
       for (const BigInt& ct : out) {

@@ -74,10 +74,11 @@ class PaillierPir {
                      BytesView answer) const;
 
  private:
-  // Shared query construction; `encrypt` supplies E(bit) ciphertexts (from
-  // a Prg or a randomness pool, both in stream order).
-  Bytes make_query_impl(std::size_t index, ClientState& state,
-                        const std::function<bignum::BigInt(const bignum::BigInt&)>& encrypt) const;
+  // Shared query construction; `factors(count)` supplies the next `count`
+  // encryption factors in stream order (from a Prg or a randomness pool).
+  Bytes make_query_impl(
+      std::size_t index, ClientState& state,
+      const std::function<std::vector<bignum::BigInt>(std::size_t)>& factors) const;
   // Core fold over a matrix of plaintext chunks per item.
   Bytes answer_chunks(std::vector<std::vector<bignum::BigInt>> items, BytesView query,
                       crypto::Prg& prg) const;

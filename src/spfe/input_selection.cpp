@@ -362,11 +362,11 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
   // Server: encrypted database (prepared once), one batched SPIR answer.
   {
     const Bytes query = net.server_receive(server_id);
+    std::vector<BigInt> plain(n);
+    for (std::size_t i = 0; i < n; ++i) plain[i] = BigInt(database[i]);
+    const std::vector<BigInt> cts = server_pk.encrypt_all(plain, server_prg);
     std::vector<Bytes> enc_db(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      enc_db[i] = server_pk.encrypt(BigInt(database[i]), server_prg)
-                      .to_bytes_be_padded(item_bytes);
-    }
+    for (std::size_t i = 0; i < n; ++i) enc_db[i] = cts[i].to_bytes_be_padded(item_bytes);
     Writer w;
     server_pk.serialize(w);
     w.bytes(spir.answer_bytes(enc_db, item_bytes, query, server_prg));

@@ -30,6 +30,17 @@ BigInt read_ct(Reader& r, const he::PaillierPublicKey& pk) {
   return BigInt::from_bytes_be(r.raw(pk.ciphertext_bytes()));
 }
 
+// E(m) for each plaintext: from `pool` when one serves this key, else with
+// units drawn serially from `prg` and the factors computed in one batch.
+std::vector<BigInt> encrypt_each(const he::PaillierPublicKey& pk, std::span<const BigInt> plain,
+                                 crypto::Prg& prg, he::PaillierRandomnessPool* pool) {
+  if (pool == nullptr) return pk.encrypt_all(plain, prg);
+  std::vector<BigInt> cts;
+  cts.reserve(plain.size());
+  for (const BigInt& m : plain) cts.push_back(pool->encrypt(m));
+  return cts;
+}
+
 // Masked database x'_i = x_i + P_s(i+1) mod p for coefficients s.
 std::vector<std::uint64_t> mask_database(std::span<const std::uint64_t> database,
                                          const std::vector<std::uint64_t>& s, std::uint64_t p) {
@@ -99,6 +110,7 @@ std::uint64_t WeightedSumProtocol::run(net::StarNetwork& net, std::size_t server
   {
     Writer w;
     w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
+    std::vector<BigInt> c(m_);
     for (std::size_t k = 0; k < m_; ++k) {
       std::uint64_t c_k = 0;
       for (std::size_t j = 0; j < m_; ++j) {
@@ -107,9 +119,9 @@ std::uint64_t WeightedSumProtocol::run(net::StarNetwork& net, std::size_t server
         for (std::size_t e = 0; e < k; ++e) power = mul_mod(power, (indices[j] + 1) % p, p);
         c_k = add_mod(c_k, mul_mod(weights[j] % p, power, p), p);
       }
-      write_ct(w, pk,
-               pool != nullptr ? pool->encrypt(BigInt(c_k)) : pk.encrypt(BigInt(c_k), client_prg));
+      c[k] = BigInt(c_k);
     }
+    for (const BigInt& ct : encrypt_each(pk, c, client_prg, pool)) write_ct(w, pk, ct);
     net.client_send(server_id, w.take());
   }
 
@@ -118,7 +130,7 @@ std::uint64_t WeightedSumProtocol::run(net::StarNetwork& net, std::size_t server
     Reader r(net.server_receive(server_id));
     const Bytes pir_query = r.bytes();
     std::vector<BigInt> c_cts(m_);
-    for (auto& c : c_cts) c = read_ct(r, pk);
+    for (auto& c : c_cts) c = pk.parse_ciphertext(r);
     r.expect_done();
 
     std::vector<std::uint64_t> s(m_);
@@ -180,6 +192,7 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
   {
     Writer w;
     w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
+    std::vector<BigInt> c(m_);
     for (std::size_t k = 0; k < m_; ++k) {
       std::uint64_t c_k = 0;
       for (std::size_t j = 0; j < m_; ++j) {
@@ -187,9 +200,9 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
         for (std::size_t e = 0; e < k; ++e) power = mul_mod(power, (indices[j] + 1) % p, p);
         c_k = add_mod(c_k, power, p);
       }
-      write_ct(w, pk,
-               pool != nullptr ? pool->encrypt(BigInt(c_k)) : pk.encrypt(BigInt(c_k), client_prg));
+      c[k] = BigInt(c_k);
     }
+    for (const BigInt& ct : encrypt_each(pk, c, client_prg, pool)) write_ct(w, pk, ct);
     net.client_send(server_id, w.take());
   }
 
@@ -199,7 +212,7 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
     Reader r(net.server_receive(server_id));
     const Bytes pir_query = r.bytes();
     std::vector<BigInt> c_cts(m_);
-    for (auto& c : c_cts) c = read_ct(r, pk);
+    for (auto& c : c_cts) c = pk.parse_ciphertext(r);
     r.expect_done();
 
     std::vector<std::uint64_t> squares(n_);
@@ -399,10 +412,11 @@ std::size_t FrequencyProtocol::run(net::StarNetwork& net, std::size_t server_id,
   {
     he::PaillierRandomnessPool* pool = pool_for(precomp, pk);
     Writer w;
+    std::vector<BigInt> t(m_);
     for (std::size_t j = 0; j < m_; ++j) {
-      const std::uint64_t t = add_mod(shares.client_shares[j], p - keyword % p, p);
-      write_ct(w, pk, pool != nullptr ? pool->encrypt(BigInt(t)) : pk.encrypt(BigInt(t), client_prg));
+      t[j] = BigInt(add_mod(shares.client_shares[j], p - keyword % p, p));
     }
+    for (const BigInt& ct : encrypt_each(pk, t, client_prg, pool)) write_ct(w, pk, ct);
     net.client_send(server_id, w.take());
   }
 
@@ -411,7 +425,7 @@ std::size_t FrequencyProtocol::run(net::StarNetwork& net, std::size_t server_id,
     Reader r(net.server_receive(server_id));
     std::vector<BigInt> cts(m_);
     for (std::size_t j = 0; j < m_; ++j) {
-      BigInt ct = read_ct(r, pk);
+      BigInt ct = pk.parse_ciphertext(r);
       // plaintext: (b_j - w mod p) + a_j  ==  x - w (mod p), value < 2p.
       ct = pk.add(ct, pk.encrypt(BigInt(shares.server_shares[j]), server_prg));
       const std::uint64_t rho = 1 + server_prg.uniform(p - 1);  // nonzero

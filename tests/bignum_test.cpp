@@ -8,6 +8,7 @@
 #include "bignum/serialize.h"
 #include "common/error.h"
 #include "crypto/prg.h"
+#include "obs/obs.h"
 
 namespace spfe::bignum {
 namespace {
@@ -407,6 +408,78 @@ TEST(BigIntBoundary, ZeroLimbNormalization) {
   // Zero produced by cancelling large magnitudes serializes as empty.
   EXPECT_TRUE((a - a).to_bytes_be().empty());
   EXPECT_EQ((a - a), BigInt(0));
+}
+
+// pow_batch against per-element pow. On an AVX-512 IFMA CPU this exercises
+// the 8-lane radix-2^52 kernel (partial lane groups, digit counts up to 79
+// for 4096-bit moduli); elsewhere the portable loop. The dispatched kernel
+// is recorded as a test property so CI logs show which one ran.
+TEST(PowBatch, MatchesPowElementByElement) {
+  ::testing::Test::RecordProperty("pow_batch_kernel", MontgomeryContext::pow_batch_kernel());
+  crypto::Prg prg("pow-batch");
+  const auto random_odd = [&](std::size_t bits) {
+    BigInt v = (BigInt(1) << (bits - 1)) + BigInt::random_below(prg, BigInt(1) << (bits - 1));
+    return v.is_odd() ? v : v + BigInt(1);
+  };
+  // Modulus m with public exponent n: the Paillier shape m = N^2, e = N,
+  // and one odd modulus of exactly 20 radix-2^52 digits whose top digit is
+  // all ones, so unreduced intermediates have no headroom below R.
+  std::vector<std::pair<BigInt, BigInt>> cases;
+  for (const std::size_t n_bits : {256, 512, 768, 1024, 2048}) {
+    const BigInt n = random_odd(n_bits);
+    cases.emplace_back(n, n * n);
+  }
+  cases.emplace_back(random_odd(520), (BigInt(1) << 1040) - BigInt(1) -
+                                          BigInt(2) * BigInt::random_below(prg, BigInt(1) << 600));
+  for (const auto& [n, m] : cases) {
+    const MontgomeryContext ctx(m);
+    std::vector<BigInt> pool = {BigInt(0), BigInt(1),        n - BigInt(1),
+                                n,         m - BigInt(1),    m,
+                                m + BigInt(5), m * BigInt(3) + BigInt(1)};
+    while (pool.size() < 24) pool.push_back(BigInt::random_below(prg, m));
+    const auto bases_of = [&](std::size_t size) {
+      std::vector<BigInt> bases;
+      for (std::size_t i = 0; i < size; ++i) bases.push_back(pool[(i + size) % pool.size()]);
+      return bases;
+    };
+    const auto check = [&](const BigInt& e, std::size_t size) {
+      const std::vector<BigInt> bases = bases_of(size);
+      const std::vector<BigInt> got = ctx.pow_batch(bases, e);
+      ASSERT_EQ(got.size(), size);
+      for (std::size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(got[i], ctx.pow(bases[i], e))
+            << "modulus bits " << m.bit_length() << ", exponent bits " << e.bit_length()
+            << ", batch " << size << ", lane " << i;
+      }
+    };
+    const BigInt mersenne = (BigInt(1) << 127) - BigInt(1);
+    for (std::size_t size = 0; size <= 17; ++size) {
+      for (const BigInt& e : {BigInt(1), BigInt(2), mersenne}) check(e, size);
+    }
+    for (const std::size_t size : {0, 1, 7, 8, 9, 16, 17}) check(n, size);
+  }
+}
+
+TEST(PowBatch, EdgeExponentsAndOpCount) {
+  const MontgomeryContext ctx(BigInt::from_string("1000000007") * BigInt(1000000009));
+  const std::vector<BigInt> bases = {BigInt(0), BigInt(2), BigInt(12345), BigInt(7), BigInt(9),
+                                     BigInt(10), BigInt(11), BigInt(12), BigInt(13)};
+  EXPECT_EQ(ctx.pow_batch(bases, BigInt(0)), std::vector<BigInt>(bases.size(), BigInt(1)));
+  EXPECT_THROW(ctx.pow_batch(bases, BigInt(-1)), InvalidArgument);
+  // A single-digit modulus (< 2^52).
+  const MontgomeryContext small(BigInt(1000003));
+  const std::vector<BigInt> got = small.pow_batch(bases, BigInt(999999));
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    EXPECT_EQ(got[i], small.pow(bases[i], BigInt(999999))) << i;
+  }
+  // One kModExp per base, whatever the lane grouping.
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.set_enabled(true);
+  tracer.reset();
+  (void)ctx.pow_batch(bases, BigInt(65537));
+  EXPECT_EQ(tracer.totals()[static_cast<std::size_t>(obs::Op::kModExp)], bases.size());
+  tracer.set_enabled(false);
+  tracer.reset();
 }
 
 }  // namespace

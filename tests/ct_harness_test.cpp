@@ -165,6 +165,37 @@ TEST(CtHarness, MontMulFixedVsRandom) {
       << " fixed=" << result.mean_fixed << "ns random=" << result.mean_random << "ns";
 }
 
+// The batched public-exponent kernel (8 lanes of radix-2^52 Montgomery on
+// AVX-512 IFMA CPUs, the portable pow loop elsewhere): a sparse fixed base
+// in all eight lanes against eight fresh random bases, exponent N. A
+// zero-digit skip or a base-dependent branch would separate the classes.
+TEST(CtHarness, PowBatchFixedVsRandom) {
+  ::testing::Test::RecordProperty("pow_batch_kernel",
+                                  bignum::MontgomeryContext::pow_batch_kernel());
+  crypto::Prg prg("ct-harness-pow-batch");
+  const he::PaillierPrivateKey sk = he::paillier_keygen(prg, 256);
+  const he::PaillierPublicKey& pk = sk.public_key();
+  const bignum::MontgomeryContext ctx(pk.n_squared());
+  constexpr int kReps = 2;
+  std::vector<BigInt> bases;
+  const auto result = run_experiment(
+      prg,
+      [&](int cls) {
+        bases.clear();
+        for (int lane = 0; lane < 8; ++lane) {
+          bases.push_back(cls == 0 ? BigInt(3) : random_bigint_below(prg, pk.n()));
+        }
+      },
+      [&] {
+        std::uint64_t acc = 0;
+        for (int r = 0; r < kReps; ++r) acc ^= ctx.pow_batch(bases, pk.n())[0].low_u64();
+        return acc;
+      });
+  EXPECT_LT(std::abs(result.t), kSmokeThreshold)
+      << "pow_batch timing distinguishes sparse vs random bases: t=" << result.t
+      << " fixed=" << result.mean_fixed << "ns random=" << result.mean_random << "ns";
+}
+
 TEST(CtHarness, MontSqrFixedVsRandom) {
   crypto::Prg prg("ct-harness-mont-sqr");
   const BigInt n = make_modulus(prg);

@@ -10,6 +10,10 @@
 //   * every attempt's failure_reason and each server's fate and blame.
 // Replaying a run over a zero-latency SimStarNetwork must reproduce its
 // digest byte for byte.
+//
+// The golden-file plumbing (recorded_goldens / expect_golden) is shared by
+// every golden suite: each test target names its own file through the
+// SPFE_GOLDENS_FILE compile definition.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -126,7 +130,7 @@ class RunDigest {
 inline const std::map<std::string, std::string>& recorded_goldens() {
   static const std::map<std::string, std::string> goldens = [] {
     std::map<std::string, std::string> out;
-    std::ifstream in(SPFE_FAULT_GOLDENS_FILE);
+    std::ifstream in(SPFE_GOLDENS_FILE);
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty() || line[0] == '#') continue;
@@ -140,8 +144,7 @@ inline const std::map<std::string, std::string>& recorded_goldens() {
   return goldens;
 }
 
-inline void expect_golden(const std::string& name, RunDigest& digest) {
-  const std::string actual = digest.hex();
+inline void expect_golden(const std::string& name, const std::string& actual) {
   const auto& goldens = recorded_goldens();
   const auto it = goldens.find(name);
   if (it == goldens.end()) {
@@ -149,6 +152,10 @@ inline void expect_golden(const std::string& name, RunDigest& digest) {
     return;
   }
   EXPECT_EQ(actual, it->second) << name << " no longer reproduces its recorded run";
+}
+
+inline void expect_golden(const std::string& name, RunDigest& digest) {
+  expect_golden(name, digest.hex());
 }
 
 }  // namespace spfe::goldens

@@ -231,6 +231,36 @@ TEST_F(PaillierTest, RerandomizeAllPreservesPlaintextsAndPrgOrder) {
   }
 }
 
+TEST_F(PaillierTest, EncryptAllMatchesSerialEncrypt) {
+  const auto& pk = sk_.public_key();
+  std::vector<BigInt> ms;
+  for (std::size_t i = 0; i < 11; ++i) ms.push_back(BigInt(i * 1000 + 7));
+  crypto::Prg serial("encrypt-all"), batch("encrypt-all");
+  const std::vector<BigInt> cts = pk.encrypt_all(ms, batch);
+  ASSERT_EQ(cts.size(), ms.size());
+  for (std::size_t i = 0; i < ms.size(); ++i) EXPECT_EQ(cts[i], pk.encrypt(ms[i], serial)) << i;
+  EXPECT_EQ(batch.u64(), serial.u64());  // same number of draws
+  std::vector<BigInt> rs;
+  for (std::size_t i = 0; i < 9; ++i) rs.push_back(pk.random_unit(serial));
+  const std::vector<BigInt> factors = pk.encryption_factors(rs);
+  for (std::size_t i = 0; i < rs.size(); ++i) EXPECT_EQ(factors[i], pk.encryption_factor(rs[i]));
+}
+
+TEST_F(PaillierTest, ParseCiphertextChecksRange) {
+  const auto& pk = sk_.public_key();
+  const std::size_t width = pk.ciphertext_bytes();
+  const auto parse = [&](const Bytes& wire) {
+    Reader r(wire);
+    return pk.parse_ciphertext(r);
+  };
+  const BigInt top = pk.n_squared() - BigInt(1);
+  EXPECT_EQ(parse(top.to_bytes_be_padded(width)), top);
+  EXPECT_EQ(parse(Bytes(width, 0)), BigInt(0));
+  EXPECT_THROW(parse(pk.n_squared().to_bytes_be_padded(width)), ProtocolError);
+  EXPECT_THROW(parse(Bytes(width, 0xff)), ProtocolError);
+  EXPECT_THROW(parse(Bytes(width - 1, 0)), SerializationError);
+}
+
 TEST(Paillier, RandomUnitCoversFullRange) {
   // Tiny modulus (N = 5 * 7) so 2000 draws cover [1, N) exhaustively: the
   // old random_below(N-1) + 1 draw could never produce N - 1, and 0 must

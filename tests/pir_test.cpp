@@ -302,6 +302,23 @@ TEST_F(PaillierPirTest, MaliciousLinearCombinationIsWeakSecurity) {
   EXPECT_EQ(pir.decode_u64(sk_, a), db[0] + db[1]);
 }
 
+TEST_F(PaillierPirTest, RejectsOutOfRangeSelector) {
+  // A selector >= N^2 is no ciphertext under this key: the server refuses
+  // the query with a typed error instead of folding it into an answer.
+  constexpr std::size_t kN = 8;
+  const PaillierPir pir(sk_.public_key(), kN, 1);
+  const auto db = make_db(kN, 1000);
+  const std::size_t ct_bytes = sk_.public_key().ciphertext_bytes();
+  const Bytes all_ff(kN * ct_bytes, 0xff);
+  EXPECT_THROW(pir.answer_u64(db, all_ff, prg_), ProtocolError);
+
+  PaillierPir::ClientState state;
+  Bytes query = pir.make_query(3, state, prg_);
+  const Bytes n2 = sk_.public_key().n_squared().to_bytes_be_padded(ct_bytes);
+  std::copy(n2.begin(), n2.end(), query.begin() + static_cast<std::ptrdiff_t>(5 * ct_bytes));
+  EXPECT_THROW(pir.answer_u64(db, query, prg_), ProtocolError);
+}
+
 TEST_F(PaillierPirTest, ValidatesGeometry) {
   EXPECT_THROW(PaillierPir(sk_.public_key(), 0, 1), InvalidArgument);
   EXPECT_THROW(PaillierPir(sk_.public_key(), 8, 0), InvalidArgument);

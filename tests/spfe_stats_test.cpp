@@ -54,6 +54,39 @@ TEST_F(StatsTest, WeightedSumIsOneRound) {
   EXPECT_TRUE(net.idle());
 }
 
+// Overwrites the last ciphertext of every client message with all-0xff
+// bytes: a value >= N^2 that no encryption produces.
+class OutOfRangeCiphertextNet : public net::StarNetwork {
+ public:
+  OutOfRangeCiphertextNet(std::size_t ct_bytes) : net::StarNetwork(1), ct_bytes_(ct_bytes) {}
+  void client_send(std::size_t s, Bytes message) override {
+    std::fill(message.end() - static_cast<std::ptrdiff_t>(ct_bytes_), message.end(), 0xff);
+    net::StarNetwork::client_send(s, std::move(message));
+  }
+
+ private:
+  std::size_t ct_bytes_;
+};
+
+TEST_F(StatsTest, ServerRejectsOutOfRangeCiphertext) {
+  constexpr std::size_t kN = 32, kM = 2;
+  const Fp64 field(field::smallest_prime_above(1u << 20));
+  const auto db = make_db(kN, 1000);
+  const std::size_t ct_bytes = client_sk_.public_key().ciphertext_bytes();
+  {
+    const WeightedSumProtocol proto(field, kN, kM, 1);
+    OutOfRangeCiphertextNet net(ct_bytes);
+    EXPECT_THROW(proto.run(net, 0, db, {1, 2}, {1, 1}, client_sk_, client_prg_, server_prg_),
+                 ProtocolError);
+  }
+  {
+    const MeanVariancePackage proto(field, kN, kM, 1);
+    OutOfRangeCiphertextNet net(ct_bytes);
+    EXPECT_THROW(proto.run(net, 0, db, {1, 2}, client_sk_, client_prg_, server_prg_),
+                 ProtocolError);
+  }
+}
+
 TEST_F(StatsTest, PlainSumViaUnitWeights) {
   constexpr std::size_t kN = 50, kM = 5;
   const Fp64 field(field::smallest_prime_above(1u << 22));
