@@ -386,6 +386,72 @@ BENCHMARK_REGISTER_F(PaillierFixture, EncryptionFactorsScalar)
     ->Arg(512)->Arg(1024)->Arg(2048)
     ->Repetitions(5)->ReportAggregatesOnly(true)->Unit(benchmark::kMillisecond);
 
+// The cPIR fold's multi-exps mod N^2 at 768-bit N: the salary survey's
+// depth-2 levels (24 bases x 24 columns of 40-bit exponents, 24 x 3 of
+// 752-bit ones) and the widest Table 1 fold shape (46 x 135 of 496-bit
+// ones). multi_pow_matrix, which runs 8-lane Straus on AVX-512 IFMA CPUs
+// (the label), against the per-column product of mod_pow calls; both on
+// one thread. Five repetitions; the JSON keeps mean, median and stddev.
+struct MatrixShape {
+  std::size_t count, columns, exp_bits;
+};
+
+struct MatrixOperands {
+  BigInt modulus;
+  std::vector<BigInt> bases;
+  std::vector<std::vector<BigInt>> exps;
+};
+
+MatrixOperands matrix_operands(const MatrixShape& shape) {
+  crypto::Prg prg("bm-matrix");
+  BigInt n = BigInt::random_bits(prg, 768);
+  if (!n.is_odd()) n += BigInt(1);
+  MatrixOperands ops{n * n, std::vector<BigInt>(shape.count),
+                     std::vector<std::vector<BigInt>>(shape.count,
+                                                      std::vector<BigInt>(shape.columns))};
+  for (BigInt& b : ops.bases) b = BigInt::random_below(prg, ops.modulus);
+  for (auto& row : ops.exps) {
+    for (BigInt& e : row) e = BigInt::random_bits(prg, shape.exp_bits);
+  }
+  return ops;
+}
+
+void MultiPowMatrix(benchmark::State& state, MatrixShape shape) {
+  common::ThreadPool::set_global_threads(1);
+  const MatrixOperands ops = matrix_operands(shape);
+  const bignum::MontgomeryContext ctx(ops.modulus);
+  for (auto _ : state) benchmark::DoNotOptimize(bignum::multi_pow_matrix(ctx, ops.bases, ops.exps));
+  state.SetLabel(bignum::MontgomeryContext::pow_batch_kernel());
+  common::ThreadPool::set_global_threads(0);
+}
+
+void MultiPowMatrixNaive(benchmark::State& state, MatrixShape shape) {
+  const MatrixOperands ops = matrix_operands(shape);
+  for (auto _ : state) {
+    for (std::size_t c = 0; c < shape.columns; ++c) {
+      BigInt acc(1);
+      for (std::size_t i = 0; i < shape.count; ++i) {
+        acc = bignum::mod_mul(acc, bignum::mod_pow(ops.bases[i], ops.exps[i][c], ops.modulus),
+                              ops.modulus);
+      }
+      benchmark::DoNotOptimize(acc);
+    }
+  }
+}
+
+BENCHMARK_CAPTURE(MultiPowMatrix, 24x24x40, MatrixShape{24, 24, 40})
+    ->Repetitions(5)->ReportAggregatesOnly(true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(MultiPowMatrix, 24x3x752, MatrixShape{24, 3, 752})
+    ->Repetitions(5)->ReportAggregatesOnly(true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(MultiPowMatrix, 46x135x496, MatrixShape{46, 135, 496})
+    ->Repetitions(5)->ReportAggregatesOnly(true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(MultiPowMatrixNaive, 24x24x40, MatrixShape{24, 24, 40})
+    ->Repetitions(5)->ReportAggregatesOnly(true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(MultiPowMatrixNaive, 24x3x752, MatrixShape{24, 3, 752})
+    ->Repetitions(5)->ReportAggregatesOnly(true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(MultiPowMatrixNaive, 46x135x496, MatrixShape{46, 135, 496})
+    ->Repetitions(5)->ReportAggregatesOnly(true)->Unit(benchmark::kMillisecond);
+
 BENCHMARK_DEFINE_F(PaillierFixture, AddCiphertexts)(benchmark::State& state) {
   crypto::Prg prg("addct");
   const BigInt a = sk_->public_key().encrypt(BigInt(1), prg);

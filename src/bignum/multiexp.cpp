@@ -1,8 +1,10 @@
 #include "bignum/multiexp.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
+#include "bignum/ifma.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "obs/obs.h"
@@ -137,6 +139,180 @@ void combine_partials(const MontgomeryContext& ctx, std::vector<MontVec>& partia
   });
 }
 
+// ---- 8-lane Straus on AVX-512 IFMA ------------------------------------------
+//
+// A lane runs one job: the Straus product of column c over the used-base
+// range [u0, u1), with its own squaring chain (straus_column's partitions,
+// one per lane). Eight jobs run side by side through ct_ifma_mont_mul, the
+// kernel pow_batch uses. Each multiply's operand is gathered per lane from
+// the window tables, whose entry 0 is Montgomery one, so a zero digit or a
+// lane whose range has run out multiplies by one instead of branching.
+// Windows, digits and table indices depend on the exponents only, which
+// are public here (see digit_at).
+
+using ifma::kLanes;
+using ifma::Vec;
+
+// Per-call state, read-only while the lane groups run (apart from each
+// group's own slice of `table` or `partials`).
+struct LaneStraus {
+  const BigInt& modulus;
+  const ifma::IfmaPlan& plan;
+  std::span<const BigInt> bases;
+  const std::vector<std::vector<BigInt>>& exps;
+  std::vector<std::size_t> rows;  // the used bases: rows with a nonzero exponent
+  std::size_t columns;
+  unsigned w;
+  std::size_t parts;
+  std::size_t windows;
+  // Entry d of used base u: base^d (Montgomery form) at words ((u << w) + d) * k.
+  std::vector<u64> table;
+  // Job c * parts + p: its partial product (Montgomery form) at words job * k.
+  std::vector<u64> partials;
+};
+
+// Room for `vectors` lane vectors, 64-byte aligned; per thread and reused.
+Vec* lane_scratch(std::size_t vectors) {
+  thread_local std::vector<u64> buffer;
+  return reinterpret_cast<Vec*>(ifma::aligned_words(buffer, vectors * kLanes));
+}
+
+// dst[j] = words[offset[lane] + j] in every lane, for j < k. (The masked
+// gather with a zero source: GCC 12's plain one trips -Wmaybe-uninitialized
+// inside its own header.)
+SPFE_IFMA_TARGET void gather_rows(Vec* dst, const u64* words, const u64* offset, std::size_t k) {
+  const Vec first = _mm512_loadu_si512(offset);
+  for (std::size_t j = 0; j < k; ++j) {
+    const Vec index = _mm512_add_epi64(first, _mm512_set1_epi64(static_cast<long long>(j)));
+    dst[j] = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, index, words, 8);
+  }
+}
+
+// Window tables of used bases [8g, 8g + 8), one base per lane: entry 0 is
+// Montgomery one and entry d is entry d - 1 times the base.
+void build_lane_tables(LaneStraus& ls, std::size_t g) {
+  const ifma::IfmaPlan& plan = ls.plan;
+  const std::size_t k = plan.k;
+  Vec* base = lane_scratch(4 * k + 1);
+  Vec* entry = base + k;
+  Vec* t = entry + k;
+  u64* base_words = reinterpret_cast<u64*>(base);
+  const u64* entry_words = reinterpret_cast<const u64*>(entry);
+  const auto* r2 = reinterpret_cast<const Vec*>(plan.r2);
+  std::fill(base_words, base_words + k * kLanes, 0);
+  const std::size_t first = g * kLanes;
+  const std::size_t lanes = std::min(kLanes, ls.rows.size() - first);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    ifma::to_digits(ls.bases[ls.rows[first + l]].mod_floor(ls.modulus), k, base_words + l, kLanes);
+  }
+  ifma::ct_ifma_mont_mul(base, base, r2, plan, t);
+  ifma::ct_ifma_mont_mul(entry, reinterpret_cast<const Vec*>(plan.one), r2, plan, t);
+  for (std::size_t d = 0; d < (std::size_t(1) << ls.w); ++d) {
+    if (d > 0) ifma::ct_ifma_mont_mul(entry, entry, base, plan, t);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      u64* row = ls.table.data() + (((first + l) << ls.w) + d) * k;
+      for (std::size_t j = 0; j < k; ++j) row[j] = entry_words[j * kLanes + l];
+    }
+  }
+}
+
+// Straus jobs [8g, 8g + 8), one per lane. Missing lanes gather offset 0,
+// entry 0 of the first used base, which is one.
+void straus_lanes(LaneStraus& ls, std::size_t g) {
+  const ifma::IfmaPlan& plan = ls.plan;
+  const std::size_t k = plan.k;
+  Vec* acc = lane_scratch(4 * k + 1);
+  Vec* operand = acc + k;
+  Vec* t = operand + k;
+  const std::size_t count = ls.rows.size();
+  const std::size_t first = g * kLanes;
+  const std::size_t lanes = std::min(kLanes, ls.columns * ls.parts - first);
+  std::size_t column[kLanes] = {}, u0[kLanes] = {}, length[kLanes] = {};
+  std::size_t longest = 0;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    column[l] = (first + l) / ls.parts;
+    const std::size_t p = (first + l) % ls.parts;
+    u0[l] = p * count / ls.parts;
+    length[l] = (p + 1) * count / ls.parts - u0[l];
+    longest = std::max(longest, length[l]);
+  }
+  alignas(64) u64 offset[kLanes] = {};
+  gather_rows(acc, ls.table.data(), offset, k);
+  bool started = false;  // acc is still one: its squarings can be skipped
+  for (std::size_t j = ls.windows; j-- > 0;) {
+    if (started) {
+      for (unsigned s = 0; s < ls.w; ++s) ifma::ct_ifma_mont_mul(acc, acc, acc, plan, t);
+    }
+    for (std::size_t s = 0; s < longest; ++s) {
+      bool any = false;
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        offset[l] = 0;
+        if (l >= lanes || s >= length[l]) continue;
+        const std::size_t u = u0[l] + s;
+        const unsigned d = digit_at(ls.exps[ls.rows[u]][column[l]], j, ls.w);
+        offset[l] = ((u << ls.w) + d) * k;
+        any = any || d != 0;
+      }
+      if (!any) continue;  // every lane would multiply by one
+      gather_rows(operand, ls.table.data(), offset, k);
+      ifma::ct_ifma_mont_mul(acc, acc, operand, plan, t);
+      started = true;
+    }
+  }
+  const u64* acc_words = reinterpret_cast<const u64*>(acc);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    u64* row = ls.partials.data() + (first + l) * k;
+    for (std::size_t j = 0; j < k; ++j) row[j] = acc_words[j * kLanes + l];
+  }
+}
+
+// Columns [8g, 8g + 8), one per lane: the product of the column's partials
+// in ascending partition order, out of Montgomery form.
+void combine_lanes(const LaneStraus& ls, std::size_t g, std::vector<BigInt>& out) {
+  const ifma::IfmaPlan& plan = ls.plan;
+  const std::size_t k = plan.k;
+  Vec* acc = lane_scratch(4 * k + 1);
+  Vec* operand = acc + k;
+  Vec* t = operand + k;
+  const std::size_t first = g * kLanes;
+  const std::size_t lanes = std::min(kLanes, ls.columns - first);
+  alignas(64) u64 offset[kLanes] = {};
+  for (std::size_t p = 0; p < ls.parts; ++p) {
+    for (std::size_t l = 0; l < lanes; ++l) offset[l] = ((first + l) * ls.parts + p) * k;
+    gather_rows(p == 0 ? acc : operand, ls.partials.data(), offset, k);
+    if (p > 0) ifma::ct_ifma_mont_mul(acc, acc, operand, plan, t);
+  }
+  ifma::ct_ifma_mont_mul(acc, acc, reinterpret_cast<const Vec*>(plan.one), plan, t);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    out[first + l] = ifma::from_digits(reinterpret_cast<const u64*>(acc) + l, kLanes, k);
+  }
+}
+
+// The lane path of multi_pow_matrix for a Straus-planned call.
+std::vector<BigInt> lane_multi_pow(const MontgomeryContext& ctx, std::span<const BigInt> bases,
+                                   const std::vector<std::vector<BigInt>>& exps,
+                                   const std::vector<char>& used, std::size_t max_bits) {
+  const ifma::IfmaPlan plan(ctx.modulus());
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < used.size(); ++i) {
+    if (used[i]) rows.push_back(i);
+  }
+  const std::size_t columns = exps[0].size();
+  const detail::LaneStrausPlan lane_plan = detail::plan_lane_straus(
+      rows.size(), columns, max_bits, common::ThreadPool::global().thread_count());
+  const unsigned w = lane_plan.window;
+  LaneStraus ls{ctx.modulus(), plan, bases, exps, std::move(rows), columns, w,
+                lane_plan.partitions, (max_bits + w - 1) / w, {}, {}};
+  const auto groups = [](std::size_t n) { return (n + kLanes - 1) / kLanes; };
+  ls.table.resize((ls.rows.size() << w) * plan.k);
+  common::parallel_for(groups(ls.rows.size()), [&](std::size_t g) { build_lane_tables(ls, g); });
+  ls.partials.resize(ls.columns * ls.parts * plan.k);
+  common::parallel_for(groups(ls.columns * ls.parts), [&](std::size_t g) { straus_lanes(ls, g); });
+  std::vector<BigInt> out(ls.columns);
+  common::parallel_for(groups(ls.columns), [&](std::size_t g) { combine_lanes(ls, g, out); });
+  return out;
+}
+
 }  // namespace
 
 namespace detail {
@@ -170,6 +346,34 @@ MultiExpPlan plan_multi_exp(std::size_t count, std::size_t columns, std::size_t 
       if (best_cost < 0 || c.cost < best_cost) {
         best_cost = c.cost;
         best = {c.kind, w};
+      }
+    }
+  }
+  return best;
+}
+
+LaneStrausPlan plan_lane_straus(std::size_t count, std::size_t columns, std::size_t max_bits,
+                                std::size_t threads) {
+  const auto ceil_div = [](std::size_t a, std::size_t b) { return (a + b - 1) / b; };
+  count = std::max<std::size_t>(count, 1);
+  columns = std::max<std::size_t>(columns, 1);
+  threads = std::max<std::size_t>(threads, 1);
+  max_bits = std::max<std::size_t>(max_bits, 1);
+  // Costs in 8-lane products. The lane groups of a stage run in rounds of
+  // `threads`; a group pays its slowest lane.
+  const std::size_t table_rounds = ceil_div(ceil_div(count, kLanes), threads);
+  const std::size_t combine_rounds = ceil_div(ceil_div(columns, kLanes), threads);
+  LaneStrausPlan best{1, 1};
+  std::size_t best_cost = std::numeric_limits<std::size_t>::max();
+  for (unsigned w = 1; w <= kMaxLaneWindow; ++w) {
+    const std::size_t windows = ceil_div(max_bits, w);
+    for (std::size_t parts = 1; parts <= count; ++parts) {
+      const std::size_t rounds = ceil_div(ceil_div(columns * parts, kLanes), threads);
+      const std::size_t cost = rounds * windows * (w + ceil_div(count, parts)) +
+                               table_rounds * (std::size_t(1) << w) + combine_rounds * parts;
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = {w, parts};
       }
     }
   }
@@ -216,6 +420,10 @@ std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<con
   obs::count(plan.kind == detail::MultiExpKind::kFixedBase ? obs::Op::kMultiexpFixedBase
              : plan.kind == detail::MultiExpKind::kStraus  ? obs::Op::kMultiexpStraus
                                                            : obs::Op::kMultiexpPippenger);
+  if (plan.kind == detail::MultiExpKind::kStraus && ifma::cpu_has_ifma() &&
+      ifma::digits_for(ctx.modulus().bit_length()) <= ifma::kMaxDigits) {
+    return lane_multi_pow(ctx, bases, exps, used, max_bits);
+  }
   const unsigned w = plan.window;
   const std::size_t windows = (max_bits + w - 1) / w;
   const std::size_t parts = column_partitions(count, columns);

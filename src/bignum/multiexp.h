@@ -16,6 +16,12 @@
 //     no squarings at evaluation time. Wins for a matrix with few bases and
 //     many columns, where the table cost amortizes across the columns.
 //
+// On CPUs with AVX-512 IFMA (CPUID decides; nothing else), a Straus-planned
+// multi_pow_matrix runs eight (column, base range) jobs at a time on the
+// radix-2^52 kernel behind MontgomeryContext::pow_batch, with its own plan
+// (detail::plan_lane_straus). Pippenger, fixed-base and every other CPU run
+// the scalar code, which stays the reference.
+//
 // Every strategy returns the canonical representative in [0, modulus), so
 // results are byte-identical to the naive product of mod_pow calls — the
 // engine changes evaluation order only, never transcripts.
@@ -78,6 +84,20 @@ struct MultiExpPlan {
 // `count` bases, `columns` independent exponent columns, exponents of at
 // most `max_bits` bits.
 MultiExpPlan plan_multi_exp(std::size_t count, std::size_t columns, std::size_t max_bits);
+
+// The lane path of a Straus-planned multi_pow_matrix on AVX-512 IFMA CPUs
+// runs eight jobs at a time, each one column over one of `partitions`
+// base ranges with its own squaring chain. Its plan minimises lane rounds
+// over `threads` pool participants times windows times (w + bases per
+// lane), plus the table builds. Tables hold count * 2^w entries, so w is
+// capped at kMaxLaneWindow to bound their memory.
+constexpr unsigned kMaxLaneWindow = 8;
+struct LaneStrausPlan {
+  unsigned window;         // w in [1, kMaxLaneWindow]
+  std::size_t partitions;  // base ranges per column, in [1, count]
+};
+LaneStrausPlan plan_lane_straus(std::size_t count, std::size_t columns, std::size_t max_bits,
+                                std::size_t threads);
 
 // Window size minimizing the per-exponentiation cost of a fixed-base comb.
 unsigned plan_fixed_base_window(std::size_t max_bits);

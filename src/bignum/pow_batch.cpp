@@ -1,6 +1,6 @@
 // MontgomeryContext::pow_batch: many independent exponentiations to one
 // public exponent (Paillier encryption factors r^N mod N^2, pool refills,
-// fold blinders).
+// fold blinders), and the 8-lane kernel declared in ifma.h.
 //
 // On CPUs with AVX-512 IFMA the bases run eight at a time: each __m512i
 // holds one radix-2^52 digit position of all eight lanes, and the Montgomery
@@ -13,33 +13,21 @@
 // AVX-512; the library is built without any -m flags and picks the kernel
 // by CPUID at run time. Elsewhere pow_batch loops over the portable
 // MontgomeryContext::pow, which stays the reference for every result.
-#include <immintrin.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "bignum/ifma.h"
 #include "bignum/modarith.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "obs/obs.h"
 
-#define SPFE_IFMA_TARGET __attribute__((target("avx512f,avx512ifma")))
-
 namespace spfe::bignum {
-namespace {
+namespace ifma {
 
-using u64 = std::uint64_t;
-
-constexpr std::size_t kLanes = 8;
-constexpr std::size_t kDigitBits = 52;
 constexpr u64 kDigitMask = (u64{1} << kDigitBits) - 1;
-// Lazy accumulation adds at most 4 * 2^52 per digit position per row, so
-// k rows stay below 2^64 for k < 1024; 256 digits (13312-bit moduli) leaves
-// ample room for the carries. Larger moduli take the portable path.
-constexpr std::size_t kMaxDigits = 256;
-constexpr unsigned kMaxWindow = 5;
 
 bool cpu_has_ifma() {
   static const bool ok =
@@ -49,16 +37,13 @@ bool cpu_has_ifma() {
 
 std::size_t digits_for(std::size_t bits) { return (bits + kDigitBits - 1) / kDigitBits; }
 
-// A 64-byte-aligned run of at least `words` u64 inside `buf`, for the
-// kernel's vector loads and stores.
 u64* aligned_words(std::vector<u64>& buf, std::size_t words) {
   if (buf.size() < words + kLanes - 1) buf.resize(words + kLanes - 1);
   const std::size_t skew = (reinterpret_cast<std::uintptr_t>(buf.data()) / sizeof(u64)) % kLanes;
   return buf.data() + (kLanes - skew) % kLanes;
 }
 
-// Writes the k radix-2^52 digits of `v` (v < 2^(52k)) to out[0], out[stride],
-// ... The 64-bit limbs are zero-padded to a fixed width first, so the work
+// The 64-bit limbs are zero-padded to a fixed width first, so the work
 // does not depend on the value's magnitude.
 void to_digits(const BigInt& v, std::size_t k, u64* out, std::size_t stride) {
   std::vector<u64> limbs = v.limbs();
@@ -92,87 +77,24 @@ BigInt from_digits(const u64* in, std::size_t stride, std::size_t k) {
   return BigInt::from_bytes_be(be);
 }
 
-// Left-to-right sliding-window schedule for a public exponent e > 0. The
-// first step loads odd power table[first]; every later step squares
-// `squarings` times, then multiplies by table[entry]; `tail` squarings end
-// the chain. table[i] holds base^(2i+1).
-struct WindowSchedule {
-  struct Step {
-    std::size_t squarings;
-    std::size_t entry;
-  };
-  std::size_t first = 0;
-  std::vector<Step> steps;
-  std::size_t tail = 0;
-  std::size_t entries = 1;  // odd powers the table must hold
-
-  explicit WindowSchedule(const BigInt& e) {
-    const std::size_t bits = e.bit_length();
-    const unsigned w = bits > 512 ? kMaxWindow : bits > 128 ? 4 : bits > 24 ? 3 : bits > 6 ? 2 : 1;
-    bool started = false;
-    std::size_t pending = 0;
-    for (std::size_t i = bits; i-- > 0;) {
-      if (!e.bit(i)) {
-        ++pending;
-        continue;
-      }
-      std::size_t low = i + 1 >= w ? i + 1 - w : 0;
-      while (!e.bit(low)) ++low;
-      std::size_t value = 0;
-      for (std::size_t b = i + 1; b-- > low;) value = (value << 1) | (e.bit(b) ? 1 : 0);
-      const std::size_t entry = value >> 1;
-      entries = std::max(entries, entry + 1);
-      if (started) {
-        steps.push_back({pending + (i - low + 1), entry});
-      } else {
-        first = entry;
-        started = true;
-      }
-      pending = 0;
-      i = low;
-    }
-    tail = pending;
+IfmaPlan::IfmaPlan(const BigInt& modulus) : k(digits_for(modulus.bit_length())) {
+  n.resize(k);
+  to_digits(modulus, k, n.data(), 1);
+  u64 inv = n[0];  // Newton iteration for n^{-1} mod 2^64 (n odd)
+  for (int i = 0; i < 6; ++i) inv *= 2 - n[0] * inv;
+  n0_inv = (~inv + 1) & kDigitMask;
+  u64* consts = aligned_words(lane_consts, 2 * k * kLanes);
+  std::fill(consts, consts + 2 * k * kLanes, 0);
+  const BigInt r2_value = (BigInt(1) << (2 * kDigitBits * k)).mod_floor(modulus);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    to_digits(r2_value, k, consts + lane, kLanes);
+    consts[k * kLanes + lane] = 1;
   }
-};
+  r2 = consts;
+  one = consts + k * kLanes;
+}
 
-// Per-call constants of the 8-lane kernel, shared read-only by every group.
-struct IfmaPlan {
-  std::size_t k = 0;                // radix-2^52 digits of the modulus
-  std::vector<u64> n;               // modulus digits
-  u64 n0_inv = 0;                   // -n^{-1} mod 2^52
-  std::vector<u64> lane_consts;     // backing store of r2 and one
-  const u64* r2 = nullptr;          // R^2 mod n, R = 2^(52k), in all 8 lanes
-  const u64* one = nullptr;         // the integer 1 in all 8 lanes
-  WindowSchedule schedule;
-
-  IfmaPlan(const BigInt& modulus, const BigInt& e) : k(digits_for(modulus.bit_length())),
-                                                     schedule(e) {
-    n.resize(k);
-    to_digits(modulus, k, n.data(), 1);
-    u64 inv = n[0];  // Newton iteration for n^{-1} mod 2^64 (n odd)
-    for (int i = 0; i < 6; ++i) inv *= 2 - n[0] * inv;
-    n0_inv = (~inv + 1) & kDigitMask;
-    u64* consts = aligned_words(lane_consts, 2 * k * kLanes);
-    std::fill(consts, consts + 2 * k * kLanes, 0);
-    const BigInt r2_value = (BigInt(1) << (2 * kDigitBits * k)).mod_floor(modulus);
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      to_digits(r2_value, k, consts + lane, kLanes);
-      consts[k * kLanes + lane] = 1;
-    }
-    r2 = consts;
-    one = consts + k * kLanes;
-  }
-  IfmaPlan(const IfmaPlan&) = delete;
-  IfmaPlan& operator=(const IfmaPlan&) = delete;
-
-  // u64 words of kernel scratch: the odd-power table, the squared base,
-  // the accumulator and the 2k+1 product columns.
-  std::size_t scratch_words() const {
-    return (schedule.entries + 2) * k * kLanes + (2 * k + 1) * kLanes;
-  }
-};
-
-using Vec = __m512i;
+namespace {
 
 // Vector primitives of the kernel. Each is a single AVX-512 instruction
 // whose latency does not depend on the operand values.
@@ -200,6 +122,8 @@ SPFE_IFMA_TARGET inline Vec ct_blend(__mmask8 take_b, Vec a, Vec b) {
 SPFE_IFMA_TARGET inline Vec ct_splat(u64 v) {
   return _mm512_set1_epi64(static_cast<long long>(v));
 }
+
+}  // namespace
 
 // out = a * b * R^{-1} mod n in all eight lanes (a, b < n, digits < 2^52;
 // out may alias a or b). t holds 2k+1 columns of scratch. Column i+j
@@ -256,13 +180,69 @@ SPFE_IFMA_TARGET void ct_ifma_mont_mul(Vec* out, const Vec* /*secret*/ a, const 
 }
 // SPFE_CT_END
 
+}  // namespace ifma
+
+namespace {
+
+using namespace ifma;
+
+constexpr unsigned kMaxWindow = 5;
+
+// Left-to-right sliding-window schedule for a public exponent e > 0. The
+// first step loads odd power table[first]; every later step squares
+// `squarings` times, then multiplies by table[entry]; `tail` squarings end
+// the chain. table[i] holds base^(2i+1).
+struct WindowSchedule {
+  struct Step {
+    std::size_t squarings;
+    std::size_t entry;
+  };
+  std::size_t first = 0;
+  std::vector<Step> steps;
+  std::size_t tail = 0;
+  std::size_t entries = 1;  // odd powers the table must hold
+
+  explicit WindowSchedule(const BigInt& e) {
+    const std::size_t bits = e.bit_length();
+    const unsigned w = bits > 512 ? kMaxWindow : bits > 128 ? 4 : bits > 24 ? 3 : bits > 6 ? 2 : 1;
+    bool started = false;
+    std::size_t pending = 0;
+    for (std::size_t i = bits; i-- > 0;) {
+      if (!e.bit(i)) {
+        ++pending;
+        continue;
+      }
+      std::size_t low = i + 1 >= w ? i + 1 - w : 0;
+      while (!e.bit(low)) ++low;
+      std::size_t value = 0;
+      for (std::size_t b = i + 1; b-- > low;) value = (value << 1) | (e.bit(b) ? 1 : 0);
+      const std::size_t entry = value >> 1;
+      entries = std::max(entries, entry + 1);
+      if (started) {
+        steps.push_back({pending + (i - low + 1), entry});
+      } else {
+        first = entry;
+        started = true;
+      }
+      pending = 0;
+      i = low;
+    }
+    tail = pending;
+  }
+
+  // u64 words of pow8 scratch: the odd-power table, the squared base, the
+  // accumulator and the 2k+1 product columns.
+  std::size_t scratch_words(std::size_t k) const {
+    return (entries + 2) * k * kLanes + (2 * k + 1) * kLanes;
+  }
+};
+
 // Eight exponentiations base[lane]^e mod n. `base` and `out` hold k digit
 // vectors (digit j of lane l at word 8j + l); bases must be < n.
 // SPFE_CT_BEGIN(ifma_pow8)
 SPFE_IFMA_TARGET void ct_ifma_pow8(const u64* /*secret*/ base, u64* out, const IfmaPlan& plan,
-                                   u64* scratch) {
+                                   const WindowSchedule& sched, u64* scratch) {
   const std::size_t k = plan.k;
-  const WindowSchedule& sched = plan.schedule;
   Vec* table = reinterpret_cast<Vec*>(scratch);
   Vec* sq = table + sched.entries * k;
   Vec* acc = sq + k;
@@ -287,12 +267,12 @@ SPFE_IFMA_TARGET void ct_ifma_pow8(const u64* /*secret*/ base, u64* out, const I
 
 // Runs lane group g: bases [8g, 8g+8) of `bases` (missing lanes compute
 // 0^e and are dropped). The scratch buffer is per thread and reused.
-void ifma_group(const IfmaPlan& plan, const BigInt& modulus, std::span<const BigInt> bases,
-                std::size_t g, std::vector<BigInt>& out) {
+void ifma_group(const IfmaPlan& plan, const WindowSchedule& sched, const BigInt& modulus,
+                std::span<const BigInt> bases, std::size_t g, std::vector<BigInt>& out) {
   const std::size_t k = plan.k;
   thread_local std::vector<u64> buffer;
-  u64* scratch = aligned_words(buffer, plan.scratch_words() + 2 * k * kLanes);
-  u64* in = scratch + plan.scratch_words();
+  u64* scratch = aligned_words(buffer, sched.scratch_words(k) + 2 * k * kLanes);
+  u64* in = scratch + sched.scratch_words(k);
   u64* res = in + k * kLanes;
   std::fill(in, in + k * kLanes, 0);
   const std::size_t first = g * kLanes;
@@ -300,7 +280,7 @@ void ifma_group(const IfmaPlan& plan, const BigInt& modulus, std::span<const Big
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     to_digits(bases[first + lane].mod_floor(modulus), k, in + lane, kLanes);
   }
-  ct_ifma_pow8(in, res, plan, scratch);
+  ct_ifma_pow8(in, res, plan, sched, scratch);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     out[first + lane] = from_digits(res + lane, kLanes, k);
   }
@@ -330,9 +310,10 @@ std::vector<BigInt> MontgomeryContext::pow_batch(std::span<const BigInt> bases,
                          [&](std::size_t i) { out[i] = pow_uncounted(bases[i], public_exp); });
     return out;
   }
-  const IfmaPlan plan(modulus_, public_exp);
+  const IfmaPlan plan(modulus_);
+  const WindowSchedule sched(public_exp);
   common::parallel_for((bases.size() + kLanes - 1) / kLanes,
-                       [&](std::size_t g) { ifma_group(plan, modulus_, bases, g, out); });
+                       [&](std::size_t g) { ifma_group(plan, sched, modulus_, bases, g, out); });
   return out;
 }
 

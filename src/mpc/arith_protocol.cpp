@@ -29,6 +29,17 @@ void check_headroom(const BigInt& bound, const he::PaillierPublicKey& pk, std::s
   }
 }
 
+// A client ciphertext off the wire. The read_bigint framing is
+// variable-length and signed, so the value is range-checked after the read:
+// anything outside [0, N^2) is rejected before it reaches a homomorphic op.
+BigInt read_client_ciphertext(Reader& r, const he::PaillierPublicKey& pk) {
+  BigInt c = bignum::read_bigint(r);
+  if (c.is_negative() || c >= pk.n_squared()) {
+    throw ProtocolError("arith MPC: ciphertext out of range");
+  }
+  return c;
+}
+
 }  // namespace
 
 std::vector<std::uint64_t> run_arith_mpc_on_ciphertexts(
@@ -160,7 +171,7 @@ std::vector<std::uint64_t> run_arith_mpc_on_ciphertexts(
         const std::size_t g = ready_mults[idx];
         const ArithGate& gate = circuit.gates()[g];
         const std::size_t out = circuit.num_inputs() + g;
-        const BigInt e = bignum::read_bigint(r);
+        const BigInt e = read_client_ciphertext(r, pk);
         const auto& [r1, r2] = blinds[idx];
         const BigInt c2 = (u - r2.mod_floor(u)).mod_floor(u);
         const BigInt c1 = (u - r1.mod_floor(u)).mod_floor(u);
@@ -237,7 +248,7 @@ std::vector<std::uint64_t> run_arith_mpc_shared(
   std::vector<BigInt> input_cts;
   input_cts.reserve(count);
   for (std::size_t j = 0; j < count; ++j) {
-    const BigInt eb = bignum::read_bigint(r);
+    const BigInt eb = read_client_ciphertext(r, server_pk);
     input_cts.push_back(
         server_pk.add(eb, server_pk.encrypt(BigInt(server_shares[j] % circuit.modulus()),
                                             server_prg)));

@@ -178,7 +178,7 @@ SelectedShares input_selection_poly_mask_client_key(
     Reader r(net.server_receive(server_id));
     std::vector<std::vector<BigInt>> powers(m, std::vector<BigInt>(m));
     for (std::size_t j = 0; j < m; ++j) {
-      for (std::size_t k = 0; k < m; ++k) powers[j][k] = read_ct(r, pk);
+      for (std::size_t k = 0; k < m; ++k) powers[j][k] = pk.parse_ciphertext(r);
     }
     const Bytes pir_query = r.bytes();
     r.expect_done();

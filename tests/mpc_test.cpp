@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "bignum/serialize.h"
 #include "circuits/arith_circuit.h"
 #include "circuits/boolean_circuit.h"
 #include "common/error.h"
+#include "common/serialize.h"
 #include "he/paillier.h"
 #include "mpc/arith_protocol.h"
 #include "mpc/yao.h"
@@ -13,6 +17,7 @@
 namespace spfe::mpc {
 namespace {
 
+using bignum::BigInt;
 using circuits::ArithCircuit;
 using circuits::BooleanCircuit;
 using circuits::WireBundle;
@@ -288,6 +293,57 @@ TEST_F(ArithMpcTest, RoundsScaleWithMultDepth) {
   // outputs S->C = 6 half-rounds = 3.0 rounds (1 + mult_depth).
   EXPECT_EQ(net.stats().half_rounds, 6u);
   EXPECT_DOUBLE_EQ(net.stats().rounds(), 3.0);
+}
+
+// Rewrites the client's `target`-th message (counting from 0).
+class RewritingNetwork : public net::StarNetwork {
+ public:
+  RewritingNetwork(std::size_t target, std::function<Bytes(BytesView)> rewrite)
+      : net::StarNetwork(1), target_(target), rewrite_(std::move(rewrite)) {}
+
+  void client_send(std::size_t s, Bytes message) override {
+    if (sent_++ == target_) message = rewrite_(message);
+    net::StarNetwork::client_send(s, std::move(message));
+  }
+
+ private:
+  std::size_t target_;
+  std::function<Bytes(BytesView)> rewrite_;
+  std::size_t sent_ = 0;
+};
+
+// A hostile client replaces one ciphertext with a value outside [0, N^2):
+// in its encrypted shares (message 0) or in the products of the first
+// multiplication batch (message 1). The server must reject both before
+// they reach a homomorphic op.
+TEST_F(ArithMpcTest, ServerRejectsOutOfRangeCiphertexts) {
+  constexpr std::uint64_t kU = 65537;
+  ArithCircuit c(2, kU);
+  c.add_output(c.mul(c.input(0), c.input(1)));
+  const BigInt all_ff = BigInt::from_bytes_be(Bytes(sk_.public_key().ciphertext_bytes(), 0xff));
+  for (const BigInt& bad : {all_ff, BigInt(-1)}) {
+    for (const std::size_t target : {0, 1}) {
+      const auto rewrite = [&](BytesView message) {
+        Reader r(message);
+        Writer w;
+        if (target == 0) he::PaillierPublicKey::deserialize(r).serialize(w);
+        const std::uint64_t count = r.varint();
+        w.varint(count);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          const BigInt ct = bignum::read_bigint(r);
+          bignum::write_bigint(w, i == 0 ? bad : ct);
+        }
+        r.expect_done();
+        return w.take();
+      };
+      std::vector<std::uint64_t> cs, ss;
+      split({3, 5}, kU, cs, ss);
+      RewritingNetwork net(target, rewrite);
+      EXPECT_THROW(run_arith_mpc_shared(net, 0, c, sk_, cs, ss, client_prg_, server_prg_),
+                   ProtocolError)
+          << "message " << target << ", value bits " << bad.bit_length();
+    }
+  }
 }
 
 TEST_F(ArithMpcTest, TooDeepCircuitThrows) {

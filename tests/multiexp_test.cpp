@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bignum/bigint.h"
 #include "bignum/modarith.h"
 #include "bignum/multiexp.h"
 #include "common/error.h"
+#include "common/parallel.h"
 #include "crypto/prg.h"
 
 namespace spfe::bignum {
@@ -167,6 +170,149 @@ TEST(MultiPowMatrix, RejectsRaggedRows) {
   EXPECT_THROW(multi_pow_matrix(ctx, bases, ragged), InvalidArgument);
 }
 
+// ---- multi_pow_matrix lane path ----------------------------------------------
+//
+// On a CPU with AVX-512 IFMA every Straus-planned multi_pow_matrix call runs
+// the 8-lane kernel (lanes are (column, base range) jobs); elsewhere the
+// scalar Straus code. Either way each checked column must equal the naive
+// product of mod_pow calls, at 1, 2 and 8 threads (the lane planner's base
+// split depends on the thread count). The kernel that ran is recorded as a
+// test property: the lane path dispatches on the same CPUID test as
+// pow_batch.
+
+// Odd N of exactly `bits` bits; the moduli below are the Paillier N^2.
+BigInt random_paillier_n(crypto::Prg& prg, std::size_t bits) {
+  const BigInt n = (BigInt(1) << (bits - 1)) + BigInt::random_below(prg, BigInt(1) << (bits - 1));
+  return n.is_odd() ? n : n + BigInt(1);
+}
+
+std::vector<std::vector<BigInt>> random_exps(crypto::Prg& prg, std::size_t count,
+                                             std::size_t columns, std::size_t bits) {
+  std::vector<std::vector<BigInt>> exps(count, std::vector<BigInt>(columns));
+  for (auto& row : exps) {
+    for (auto& e : row) e = BigInt::random_bits(prg, 1 + prg.uniform(bits));
+  }
+  return exps;
+}
+
+// multi_pow_matrix at 1, 2 and 8 threads against the naive product, on the
+// given columns (all of them when `check` is empty). The scalar planner
+// must pick Straus, or the lane path would not run.
+void expect_lane_path_matches(const BigInt& m, const std::vector<BigInt>& bases,
+                              const std::vector<std::vector<BigInt>>& exps,
+                              std::vector<std::size_t> check, const std::string& what) {
+  const std::size_t columns = exps.empty() ? 0 : exps[0].size();
+  std::size_t max_bits = 0;
+  for (const auto& row : exps) {
+    for (const BigInt& e : row) max_bits = std::max(max_bits, e.bit_length());
+  }
+  if (max_bits > 0) {
+    ASSERT_EQ(detail::plan_multi_exp(bases.size(), columns, max_bits).kind,
+              detail::MultiExpKind::kStraus)
+        << what;
+  }
+  if (check.empty()) {
+    for (std::size_t c = 0; c < columns; ++c) check.push_back(c);
+  }
+  std::vector<BigInt> want;
+  for (const std::size_t c : check) {
+    std::vector<BigInt> col(bases.size());
+    for (std::size_t i = 0; i < bases.size(); ++i) col[i] = exps[i][c];
+    want.push_back(naive_multi_pow(bases, col, m));
+  }
+  const MontgomeryContext ctx(m);
+  for (const std::size_t threads : {1, 2, 8}) {
+    common::ThreadPool::set_global_threads(threads);
+    const std::vector<BigInt> got = multi_pow_matrix(ctx, bases, exps);
+    ASSERT_EQ(got.size(), columns) << what;
+    for (std::size_t idx = 0; idx < check.size(); ++idx) {
+      EXPECT_EQ(got[check[idx]], want[idx])
+          << what << ", threads " << threads << ", column " << check[idx];
+    }
+  }
+  common::ThreadPool::set_global_threads(0);  // back to the SPFE_THREADS default
+}
+
+TEST(MultiPowMatrixLanes, MatchesNaiveOnFoldShapes) {
+  ::testing::Test::RecordProperty("multiexp_kernel", MontgomeryContext::pow_batch_kernel());
+  crypto::Prg prg("matrix-lanes-fold");
+  // The cPIR fold's multi-exps: the salary survey's depth-2 levels at
+  // 768-bit N, and the Table 1 rows' shapes at 512-bit N.
+  struct Shape {
+    std::size_t count, columns, exp_bits, n_bits;
+  };
+  for (const Shape s : {Shape{24, 24, 40, 768}, Shape{24, 3, 752, 768}, Shape{31, 3, 496, 512},
+                        Shape{32, 93, 496, 512}, Shape{46, 135, 496, 512}}) {
+    const BigInt n = random_paillier_n(prg, s.n_bits);
+    const BigInt m = n * n;
+    std::vector<BigInt> bases(s.count);
+    for (auto& b : bases) b = BigInt::random_below(prg, m);
+    std::vector<std::vector<BigInt>> exps = random_exps(prg, s.count, s.columns, s.exp_bits);
+    // Full-width exponents in the first column, so every shape reaches its
+    // stated width; a ragged tail group's rows are all zero.
+    for (auto& row : exps) row[0] = (BigInt(1) << (s.exp_bits - 1)) + row[0];
+    for (auto& e : exps[s.count - 1]) e = BigInt(0);
+    // Every column of the small shapes; on the wide ones, the first two
+    // lane groups, a middle column and the last (partial) group.
+    std::vector<std::size_t> check;
+    if (s.columns > 24) {
+      for (std::size_t c = 0; c < 17; ++c) check.push_back(c);
+      check.push_back(s.columns / 2);
+      for (std::size_t c = s.columns - 3; c < s.columns; ++c) check.push_back(c);
+    }
+    const std::string what = std::to_string(s.count) + "x" + std::to_string(s.columns) + "x" +
+                             std::to_string(s.exp_bits);
+    expect_lane_path_matches(m, bases, exps, check, what);
+  }
+}
+
+TEST(MultiPowMatrixLanes, MatchesNaiveOnEdgeShapesAndModuli) {
+  ::testing::Test::RecordProperty("multiexp_kernel", MontgomeryContext::pow_batch_kernel());
+  crypto::Prg prg("matrix-lanes-edge");
+  // N^2 for N of 256 to 2048 bits, and an odd modulus of exactly 20
+  // radix-2^52 digits whose top digit is all ones (no headroom below R).
+  std::vector<BigInt> moduli;
+  for (const std::size_t n_bits : {256, 512, 768, 1024, 2048}) {
+    const BigInt n = random_paillier_n(prg, n_bits);
+    moduli.push_back(n * n);
+  }
+  moduli.push_back((BigInt(1) << 1040) - BigInt(1) -
+                   BigInt(2) * BigInt::random_below(prg, BigInt(1) << 600));
+  for (const BigInt& m : moduli) {
+    const std::string mod = "modulus bits " + std::to_string(m.bit_length());
+    // Bases 0, 1, M - 1, M and above M, then random residues.
+    std::vector<BigInt> pool = {BigInt(0), BigInt(1), m - BigInt(1), m, m + BigInt(5),
+                                m * BigInt(3) + BigInt(1)};
+    while (pool.size() < 9) pool.push_back(BigInt::random_below(prg, m));
+    const std::size_t bits = m.bit_length() > 2048 ? 64 : 160;
+    // 1 to 17 columns over five bases: partial lane groups, and lanes whose
+    // base ranges run out at different steps.
+    for (std::size_t columns = 1; columns <= 17; ++columns) {
+      const std::vector<BigInt> bases(pool.begin() + 1, pool.begin() + 6);
+      expect_lane_path_matches(m, bases, random_exps(prg, 5, columns, bits), {},
+                               mod + ", " + std::to_string(columns) + " columns");
+    }
+    // One base.
+    expect_lane_path_matches(m, {pool[8]}, random_exps(prg, 1, 1, bits), {}, mod + ", count 1");
+    // All-zero exponent rows, an all-zero column, and every edge base.
+    std::vector<std::vector<BigInt>> exps = random_exps(prg, pool.size(), 9, bits);
+    for (auto& e : exps[1]) e = BigInt(0);
+    for (auto& e : exps[4]) e = BigInt(0);
+    for (auto& row : exps) row[3] = BigInt(0);
+    expect_lane_path_matches(m, pool, exps, {}, mod + ", zero rows and column");
+    // max_bits 1: exponents 0 and 1.
+    for (auto& row : exps) {
+      for (auto& e : row) e = BigInt(prg.uniform(2));
+    }
+    expect_lane_path_matches(m, pool, exps, {}, mod + ", max_bits 1");
+    // Every exponent zero: the identity in every column.
+    for (auto& row : exps) {
+      for (auto& e : row) e = BigInt(0);
+    }
+    expect_lane_path_matches(m, pool, exps, {}, mod + ", all zero");
+  }
+}
+
 // ---- FixedBasePowTable ------------------------------------------------------
 
 TEST(FixedBasePowTable, MatchesPow) {
@@ -207,6 +353,25 @@ TEST(MultiExpPlan, PicksExpectedKernelForCanonicalShapes) {
   const detail::MultiExpPlan p = detail::plan_multi_exp(64, 64, 496);
   EXPECT_GE(p.window, 1u);
   EXPECT_LE(p.window, 10u);
+}
+
+// The lane planner on the fold shapes. Its window stays at most 8, so the
+// widest Table 1 fold (46 bases, 135 columns, 496-bit exponents at 512-bit
+// N: 20 radix-2^52 digits mod N^2) keeps its tables within 2 MB at any
+// thread count. The upper survey level (3 columns) splits bases to fill
+// the lanes; the 24-column level 0 fills them with whole columns.
+TEST(MultiExpPlan, LaneStrausWindowAndTableBound) {
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    const detail::LaneStrausPlan p = detail::plan_lane_straus(46, 135, 496, threads);
+    EXPECT_GE(p.window, 1u);
+    EXPECT_LE(p.window, 8u);
+    EXPECT_LE((std::size_t(46) << p.window) * 20 * sizeof(std::uint64_t), std::size_t(2) << 20);
+    EXPECT_GE(p.partitions, 1u);
+    EXPECT_LE(p.partitions, 46u);
+  }
+  EXPECT_GT(detail::plan_lane_straus(24, 3, 752, 1).partitions, 1u);
+  EXPECT_EQ(detail::plan_lane_straus(24, 24, 40, 1).partitions, 1u);
+  EXPECT_LE(detail::plan_lane_straus(1, 1, 1, 1).partitions, 1u);
 }
 
 TEST(MultiExpPlan, FixedBaseWindowGrowsWithExponentSize) {

@@ -240,6 +240,35 @@ TEST_F(SingleServerSpfeTest, InputSelectionRoundCounts) {
   }
 }
 
+// A hostile client: the first ciphertext of its first message is all 0xff
+// bytes, a value >= N^2 that no encryption under the key produces.
+class FfFirstCiphertextNetwork : public net::StarNetwork {
+ public:
+  explicit FfFirstCiphertextNetwork(std::size_t ciphertext_bytes)
+      : net::StarNetwork(1), width_(ciphertext_bytes) {}
+
+  void client_send(std::size_t s, Bytes message) override {
+    if (!tampered_) std::fill_n(message.begin(), width_, std::uint8_t{0xff});
+    tampered_ = true;
+    net::StarNetwork::client_send(s, std::move(message));
+  }
+
+ private:
+  std::size_t width_;
+  bool tampered_ = false;
+};
+
+// §3.3.2 variant 1: the server multi-exps the client's E(i_j^k), so it
+// must range-check them first.
+TEST_F(SingleServerSpfeTest, PolyMaskClientKeyRejectsOutOfRangeCiphertext) {
+  const std::uint64_t p = field::smallest_prime_above(1000);
+  const auto db = make_db(32, 1000);
+  FfFirstCiphertextNetwork net(client_sk_.public_key().ciphertext_bytes());
+  EXPECT_THROW(run_input_selection(net, 0, db, {3, 7}, p, SelectionMethod::kPolyMaskClientKey,
+                                   client_sk_, server_sk_, 1, client_prg_, server_prg_),
+               ProtocolError);
+}
+
 // ---- Two-phase SPFE (§3.3 + §3.3.4 / Yao) -----------------------------------
 
 TEST_F(SingleServerSpfeTest, TwoPhaseArithSumOfSquares) {
