@@ -15,15 +15,19 @@
 //
 // `--smoke` shrinks every size so CI can run the full flow in seconds.
 // Emits BENCH_spir.json (see bench_util.h JsonReport) next to the tables.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "bench_util.h"
 #include "common/parallel.h"
+#include "common/serialize.h"
 #include "he/paillier.h"
 #include "he/precomp.h"
 #include "pir/batch_pir.h"
 #include "pir/cpir.h"
 #include "pir/itpir.h"
+#include "pir_reference.h"
 
 int main(int argc, char** argv) {
   using namespace spfe;
@@ -147,8 +151,9 @@ int main(int argc, char** argv) {
   }
 
   // --- fold kernel ablation --------------------------------------------------
-  // The PR 2 acceptance gate: the multi-exp fold vs the original per-row
-  // mul_scalar/add fold, single-threaded so the win is purely algorithmic.
+  // The multi-exp fold vs the original per-row mul_scalar/add fold (the
+  // reference in tests/pir_reference.h), single-threaded so the win is
+  // purely algorithmic.
   std::printf("\n--- cPIR fold kernel: multi-exp vs naive (n = %zu, 1 thread) ---\n", ablate_n);
   {
     const std::size_t kN = ablate_n;
@@ -157,16 +162,14 @@ int main(int argc, char** argv) {
     common::ThreadPool::set_global_threads(1);
     bench::Table table({"depth", "kernel", "server ms", "speedup", "answer identical"});
     for (const std::size_t depth : {1u, 2u}) {
-      pir::PaillierPir multi(sk.public_key(), kN, depth);
-      pir::PaillierPir naive(sk.public_key(), kN, depth);
-      naive.set_fold_kernel(pir::PaillierPir::FoldKernel::kNaive);
+      const pir::PaillierPir multi(sk.public_key(), kN, depth);
       pir::PaillierPir::ClientState state;
       crypto::Prg qprg("e5-kernel-query");
       const Bytes query = multi.make_query(kN / 3, state, qprg);
       // Identically seeded server PRGs: the kernels must emit the same bytes.
       crypto::Prg prg_naive("e5-kernel-answer"), prg_multi("e5-kernel-answer");
       bench::Stopwatch sw_naive;
-      const Bytes a_naive = naive.answer_u64(db, query, prg_naive);
+      const Bytes a_naive = reference::naive_answer_u64(multi, db, query, prg_naive);
       const double naive_ms = sw_naive.ms();
       bench::Stopwatch sw_multi;
       const Bytes a_multi = multi.answer_u64(db, query, prg_multi);
@@ -273,6 +276,80 @@ int main(int argc, char** argv) {
     }
   }
   batch_table.print();
+
+  // --- cuckoo batch answer: waves vs one bucket at a time ----------------------
+  // The survey's server answer (n = 4096, m = 16, depth-2 buckets, 768-bit
+  // N, 2 threads): CuckooBatchPir::answer_u64 folds its 32 buckets in waves;
+  // the baseline answers the same buckets one PaillierPir::answer_u64 call
+  // at a time. Same bytes; five repetitions, median and stddev.
+  {
+    const std::size_t n = smoke ? 256 : 4096, m = smoke ? 4 : 16;
+    constexpr int kReps = 5;
+    std::printf("\n--- cuckoo batch answer: waves vs per-bucket calls (n = %zu, m = %zu, d2, "
+                "2 threads, %d reps) ---\n", n, m, kReps);
+    const he::PaillierPrivateKey wsk = smoke ? sk : he::paillier_keygen(prg, 768);
+    const pir::CuckooBatchPir p(wsk.public_key(), n, m, 2);
+    std::vector<std::uint64_t> db(n);
+    for (std::size_t i = 0; i < n; ++i) db[i] = (i * 7 + 11) % 65536;
+    std::vector<std::size_t> indices;
+    for (std::size_t j = 0; j < m; ++j) indices.push_back((j * 919 + 77) % n);
+    pir::CuckooBatchPir::ClientState state;
+    crypto::Prg qprg("e5-batch-waves-query");
+    const Bytes q = p.make_query(indices, state, qprg);
+    // The per-bucket baseline: the same wire format, bucket by bucket.
+    const auto per_bucket = [&](crypto::Prg& sprg) {
+      Reader r(q);
+      pir::CuckooParams params = state.params;
+      params.hash_seed = r.u64();
+      const std::size_t cap = params.bucket_capacity();
+      const pir::PaillierPir bucket_pir(wsk.public_key(), cap, 2);
+      const auto contents = params.all_bucket_contents();
+      Writer w;
+      for (std::size_t b = 0; b < params.num_buckets; ++b) {
+        std::vector<std::uint64_t> bucket(cap, 0);
+        for (std::size_t pos = 0; pos < contents[b].size(); ++pos) bucket[pos] = db[contents[b][pos]];
+        w.bytes(bucket_pir.answer_u64(bucket, r.bytes(), sprg));
+      }
+      return w.take();
+    };
+    common::ThreadPool::set_global_threads(2);
+    std::vector<double> wave_ms, bucket_ms;
+    bool identical = true;
+    Bytes answer;
+    for (int rep = 0; rep < kReps; ++rep) {
+      crypto::Prg s1("e5-batch-waves-answer"), s2("e5-batch-waves-answer");
+      bench::Stopwatch sw_wave;
+      answer = p.answer_u64(db, q, s1);
+      wave_ms.push_back(sw_wave.ms());
+      bench::Stopwatch sw_bucket;
+      const Bytes baseline = per_bucket(s2);
+      bucket_ms.push_back(sw_bucket.ms());
+      identical = identical && baseline == answer;
+    }
+    common::ThreadPool::set_global_threads(0);
+    const auto got = p.decode_u64(wsk, answer, state);
+    for (std::size_t j = 0; j < m; ++j) identical = identical && got[j] == db[indices[j]];
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const auto stddev = [](const std::vector<double>& v) {
+      double mean = 0, var = 0;
+      for (const double x : v) mean += x / static_cast<double>(v.size());
+      for (const double x : v) var += (x - mean) * (x - mean) / static_cast<double>(v.size() - 1);
+      return std::sqrt(var);
+    };
+    bench::Table table({"variant", "median ms", "stddev ms", "answer identical"});
+    table.add({"waves (answer_u64)", bench::fmt("%.1f", median(wave_ms)),
+               bench::fmt("%.1f", stddev(wave_ms)), identical ? "yes" : "NO (BUG)"});
+    table.add({"per-bucket calls", bench::fmt("%.1f", median(bucket_ms)),
+               bench::fmt("%.1f", stddev(bucket_ms)), identical ? "yes" : "NO (BUG)"});
+    table.print();
+    json.add("spir_batch_answer_waves_median", n, median(wave_ms) * 1e6, answer.size());
+    json.add("spir_batch_answer_waves_stddev", n, stddev(wave_ms) * 1e6, answer.size());
+    json.add("spir_batch_answer_per_bucket_median", n, median(bucket_ms) * 1e6, answer.size());
+    json.add("spir_batch_answer_per_bucket_stddev", n, stddev(bucket_ms) * 1e6, answer.size());
+  }
 
   // --- IT PIR vs cPIR ----------------------------------------------------------
   std::printf("\n--- multi-server IT SPIR (t = 1) vs single-server cPIR, one item ---\n");

@@ -1,7 +1,7 @@
 // The 8-lane radix-2^52 Montgomery kernel for CPUs with AVX-512 IFMA,
-// internal to spfe_bignum. It backs MontgomeryContext::pow_batch
-// (pow_batch.cpp, which defines everything declared here) and the lane
-// path of multi_pow_matrix (multiexp.cpp).
+// internal to spfe_bignum. It backs MontgomeryContext::pow_batch and
+// pow_batch_secret (pow_batch.cpp, which defines everything declared here)
+// and the lane path of multi_pow_matrices (multiexp.cpp).
 //
 // Each __m512i holds one radix-2^52 digit position of eight independent
 // lanes: digit j of lane l lives at word 8j + l of a lane-interleaved

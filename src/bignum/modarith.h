@@ -64,6 +64,14 @@ class MontgomeryContext {
   // exponent. Lane groups (or, on the portable path, elements) fan out
   // across the global thread pool. Counts one kModExp per base.
   std::vector<BigInt> pow_batch(std::span<const BigInt> bases, const BigInt& public_exp) const;
+  // out[i] = bases[i]^exp mod modulus for one *secret* exponent (the CRT
+  // exponents p-1, q-1 of Paillier decryption), equal to pow() element by
+  // element and constant time in the same sense: on AVX-512 IFMA CPUs eight
+  // bases run side by side through pow's 4-bit fixed window, with every
+  // window's table entry read through a mask over all 16 entries. The
+  // exponent's bit length is public. Elsewhere it loops pow(). Counts one
+  // kModExp per base.
+  std::vector<BigInt> pow_batch_secret(std::span<const BigInt> bases, const BigInt& exp) const;
   // The kernel pow_batch dispatches to on this CPU: "avx512ifma" or
   // "portable".
   static const char* pow_batch_kernel();

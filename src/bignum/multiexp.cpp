@@ -141,33 +141,44 @@ void combine_partials(const MontgomeryContext& ctx, std::vector<MontVec>& partia
 
 // ---- 8-lane Straus on AVX-512 IFMA ------------------------------------------
 //
-// A lane runs one job: the Straus product of column c over the used-base
-// range [u0, u1), with its own squaring chain (straus_column's partitions,
-// one per lane). Eight jobs run side by side through ct_ifma_mont_mul, the
-// kernel pow_batch uses. Each multiply's operand is gathered per lane from
-// the window tables, whose entry 0 is Montgomery one, so a zero digit or a
-// lane whose range has run out multiplies by one instead of branching.
-// Windows, digits and table indices depend on the exponents only, which
-// are public here (see digit_at).
+// A lane runs one job: the Straus product of one column of one problem over
+// a range of that problem's used bases, with its own squaring chain
+// (straus_column's partitions, one per lane). Eight jobs run side by side
+// through ct_ifma_mont_mul, the kernel pow_batch uses. The used bases of
+// every problem in the pass sit in one table, so a lane group may mix
+// problems. Each multiply's operand is gathered per lane from the window
+// tables, whose entry 0 is Montgomery one, so a zero digit or a lane whose
+// range has run out multiplies by one instead of branching. Windows,
+// digits and table indices depend on the exponents only, which are public
+// here (see digit_at).
 
 using ifma::kLanes;
 using ifma::Vec;
 
-// Per-call state, read-only while the lane groups run (apart from each
-// group's own slice of `table` or `partials`).
+// Per-pass state, read-only while the lane groups run (apart from each
+// group's own slice of `table` or `partials`). Used base u of the pass is
+// bases[u] with exponent row *exp_rows[u]; problem p's used bases are a
+// contiguous run of u.
 struct LaneStraus {
+  LaneStraus(const BigInt& m, const ifma::IfmaPlan& p) : modulus(m), plan(p) {}
   const BigInt& modulus;
   const ifma::IfmaPlan& plan;
-  std::span<const BigInt> bases;
-  const std::vector<std::vector<BigInt>>& exps;
-  std::vector<std::size_t> rows;  // the used bases: rows with a nonzero exponent
-  std::size_t columns;
-  unsigned w;
-  std::size_t parts;
-  std::size_t windows;
+  std::vector<const BigInt*> bases;
+  std::vector<const std::vector<BigInt>*> exp_rows;
+  struct Job {
+    std::size_t column;
+    std::size_t u0;  // first used base of the range
+    std::size_t length;
+  };
+  // Job cc * parts + p: partition p of pass column cc.
+  std::vector<Job> jobs;
+  std::vector<BigInt*> outs;  // pass column cc -> its result
+  unsigned w = 1;
+  std::size_t parts = 1;
+  std::size_t windows = 0;
   // Entry d of used base u: base^d (Montgomery form) at words ((u << w) + d) * k.
   std::vector<u64> table;
-  // Job c * parts + p: its partial product (Montgomery form) at words job * k.
+  // Job j: its partial product (Montgomery form) at words j * k.
   std::vector<u64> partials;
 };
 
@@ -201,9 +212,9 @@ void build_lane_tables(LaneStraus& ls, std::size_t g) {
   const auto* r2 = reinterpret_cast<const Vec*>(plan.r2);
   std::fill(base_words, base_words + k * kLanes, 0);
   const std::size_t first = g * kLanes;
-  const std::size_t lanes = std::min(kLanes, ls.rows.size() - first);
+  const std::size_t lanes = std::min(kLanes, ls.bases.size() - first);
   for (std::size_t l = 0; l < lanes; ++l) {
-    ifma::to_digits(ls.bases[ls.rows[first + l]].mod_floor(ls.modulus), k, base_words + l, kLanes);
+    ifma::to_digits(ls.bases[first + l]->mod_floor(ls.modulus), k, base_words + l, kLanes);
   }
   ifma::ct_ifma_mont_mul(base, base, r2, plan, t);
   ifma::ct_ifma_mont_mul(entry, reinterpret_cast<const Vec*>(plan.one), r2, plan, t);
@@ -224,18 +235,10 @@ void straus_lanes(LaneStraus& ls, std::size_t g) {
   Vec* acc = lane_scratch(4 * k + 1);
   Vec* operand = acc + k;
   Vec* t = operand + k;
-  const std::size_t count = ls.rows.size();
   const std::size_t first = g * kLanes;
-  const std::size_t lanes = std::min(kLanes, ls.columns * ls.parts - first);
-  std::size_t column[kLanes] = {}, u0[kLanes] = {}, length[kLanes] = {};
+  const std::size_t lanes = std::min(kLanes, ls.jobs.size() - first);
   std::size_t longest = 0;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    column[l] = (first + l) / ls.parts;
-    const std::size_t p = (first + l) % ls.parts;
-    u0[l] = p * count / ls.parts;
-    length[l] = (p + 1) * count / ls.parts - u0[l];
-    longest = std::max(longest, length[l]);
-  }
+  for (std::size_t l = 0; l < lanes; ++l) longest = std::max(longest, ls.jobs[first + l].length);
   alignas(64) u64 offset[kLanes] = {};
   gather_rows(acc, ls.table.data(), offset, k);
   bool started = false;  // acc is still one: its squarings can be skipped
@@ -247,9 +250,10 @@ void straus_lanes(LaneStraus& ls, std::size_t g) {
       bool any = false;
       for (std::size_t l = 0; l < kLanes; ++l) {
         offset[l] = 0;
-        if (l >= lanes || s >= length[l]) continue;
-        const std::size_t u = u0[l] + s;
-        const unsigned d = digit_at(ls.exps[ls.rows[u]][column[l]], j, ls.w);
+        if (l >= lanes || s >= ls.jobs[first + l].length) continue;
+        const LaneStraus::Job& job = ls.jobs[first + l];
+        const std::size_t u = job.u0 + s;
+        const unsigned d = digit_at((*ls.exp_rows[u])[job.column], j, ls.w);
         offset[l] = ((u << ls.w) + d) * k;
         any = any || d != 0;
       }
@@ -266,16 +270,16 @@ void straus_lanes(LaneStraus& ls, std::size_t g) {
   }
 }
 
-// Columns [8g, 8g + 8), one per lane: the product of the column's partials
-// in ascending partition order, out of Montgomery form.
-void combine_lanes(const LaneStraus& ls, std::size_t g, std::vector<BigInt>& out) {
+// Pass columns [8g, 8g + 8), one per lane: the product of the column's
+// partials in ascending partition order, out of Montgomery form.
+void combine_lanes(const LaneStraus& ls, std::size_t g) {
   const ifma::IfmaPlan& plan = ls.plan;
   const std::size_t k = plan.k;
   Vec* acc = lane_scratch(4 * k + 1);
   Vec* operand = acc + k;
   Vec* t = operand + k;
   const std::size_t first = g * kLanes;
-  const std::size_t lanes = std::min(kLanes, ls.columns - first);
+  const std::size_t lanes = std::min(kLanes, ls.outs.size() - first);
   alignas(64) u64 offset[kLanes] = {};
   for (std::size_t p = 0; p < ls.parts; ++p) {
     for (std::size_t l = 0; l < lanes; ++l) offset[l] = ((first + l) * ls.parts + p) * k;
@@ -284,33 +288,133 @@ void combine_lanes(const LaneStraus& ls, std::size_t g, std::vector<BigInt>& out
   }
   ifma::ct_ifma_mont_mul(acc, acc, reinterpret_cast<const Vec*>(plan.one), plan, t);
   for (std::size_t l = 0; l < lanes; ++l) {
-    out[first + l] = ifma::from_digits(reinterpret_cast<const u64*>(acc) + l, kLanes, k);
+    *ls.outs[first + l] = ifma::from_digits(reinterpret_cast<const u64*>(acc) + l, kLanes, k);
   }
 }
 
-// The lane path of multi_pow_matrix for a Straus-planned call.
-std::vector<BigInt> lane_multi_pow(const MontgomeryContext& ctx, std::span<const BigInt> bases,
-                                   const std::vector<std::vector<BigInt>>& exps,
-                                   const std::vector<char>& used, std::size_t max_bits) {
+// A validated problem: which bases are used (nonzero exponent row) and the
+// widest exponent.
+struct ProblemShape {
+  std::vector<char> used;
+  std::size_t columns = 0;
+  std::size_t max_bits = 0;
+};
+
+// One lane pass over Straus-planned problems (indices `lane` into
+// `problems`), writing out[p].
+void lane_multi_pow(const MontgomeryContext& ctx, std::span<const MultiPowProblem> problems,
+                    const std::vector<ProblemShape>& shapes, const std::vector<std::size_t>& lane,
+                    std::vector<std::vector<BigInt>>& out) {
   const ifma::IfmaPlan plan(ctx.modulus());
-  std::vector<std::size_t> rows;
-  for (std::size_t i = 0; i < used.size(); ++i) {
-    if (used[i]) rows.push_back(i);
+  LaneStraus ls(ctx.modulus(), plan);
+  std::size_t count = 0, columns = 0, max_bits = 0;
+  for (const std::size_t p : lane) {
+    std::size_t used = 0;
+    for (const char u : shapes[p].used) used += u != 0;
+    count = std::max(count, used);
+    columns = std::max(columns, shapes[p].columns);
+    max_bits = std::max(max_bits, shapes[p].max_bits);
   }
-  const std::size_t columns = exps[0].size();
-  const detail::LaneStrausPlan lane_plan = detail::plan_lane_straus(
-      rows.size(), columns, max_bits, common::ThreadPool::global().thread_count());
-  const unsigned w = lane_plan.window;
-  LaneStraus ls{ctx.modulus(), plan, bases, exps, std::move(rows), columns, w,
-                lane_plan.partitions, (max_bits + w - 1) / w, {}, {}};
+  const detail::LaneStrausPlan lane_plan =
+      detail::plan_lane_straus(count, columns, max_bits, common::ThreadPool::global().thread_count(),
+                               lane.size(), ctx.modulus().bit_length());
+  ls.w = lane_plan.window;
+  ls.parts = lane_plan.partitions;
+  ls.windows = (max_bits + ls.w - 1) / ls.w;
+  for (const std::size_t p : lane) {
+    const std::size_t u_first = ls.bases.size();
+    for (std::size_t i = 0; i < shapes[p].used.size(); ++i) {
+      if (!shapes[p].used[i]) continue;
+      ls.bases.push_back(&problems[p].bases[i]);
+      ls.exp_rows.push_back(&(*problems[p].exps)[i]);
+    }
+    const std::size_t used = ls.bases.size() - u_first;
+    for (std::size_t c = 0; c < shapes[p].columns; ++c) {
+      ls.outs.push_back(&out[p][c]);
+      for (std::size_t part = 0; part < ls.parts; ++part) {
+        const std::size_t u0 = part * used / ls.parts;
+        ls.jobs.push_back({c, u_first + u0, (part + 1) * used / ls.parts - u0});
+      }
+    }
+  }
   const auto groups = [](std::size_t n) { return (n + kLanes - 1) / kLanes; };
-  ls.table.resize((ls.rows.size() << w) * plan.k);
-  common::parallel_for(groups(ls.rows.size()), [&](std::size_t g) { build_lane_tables(ls, g); });
-  ls.partials.resize(ls.columns * ls.parts * plan.k);
-  common::parallel_for(groups(ls.columns * ls.parts), [&](std::size_t g) { straus_lanes(ls, g); });
-  std::vector<BigInt> out(ls.columns);
-  common::parallel_for(groups(ls.columns), [&](std::size_t g) { combine_lanes(ls, g, out); });
-  return out;
+  ls.table.resize((ls.bases.size() << ls.w) * plan.k);
+  common::parallel_for(groups(ls.bases.size()), [&](std::size_t g) { build_lane_tables(ls, g); });
+  ls.partials.resize(ls.jobs.size() * plan.k);
+  common::parallel_for(groups(ls.jobs.size()), [&](std::size_t g) { straus_lanes(ls, g); });
+  common::parallel_for(groups(ls.outs.size()), [&](std::size_t g) { combine_lanes(ls, g); });
+}
+
+// The scalar strategies for one problem (the reference, and the path of
+// every problem the lane pass does not take).
+void scalar_multi_pow(const MontgomeryContext& ctx, std::span<const BigInt> bases,
+                      const std::vector<std::vector<BigInt>>& exps, const ProblemShape& shape,
+                      const detail::MultiExpPlan& plan, std::vector<BigInt>& out) {
+  const std::size_t count = bases.size();
+  const std::size_t columns = shape.columns;
+  const std::vector<char>& used = shape.used;
+  const unsigned w = plan.window;
+  const std::size_t windows = (shape.max_bits + w - 1) / w;
+  const std::size_t parts = column_partitions(count, columns);
+  std::vector<MontVec> partials(columns * parts);
+  const auto cell_range = [&](std::size_t cell, std::size_t& c, std::size_t& i0,
+                              std::size_t& i1) {
+    c = cell / parts;
+    const std::size_t p = cell % parts;
+    i0 = p * count / parts;
+    i1 = (p + 1) * count / parts;
+  };
+
+  if (plan.kind == detail::MultiExpKind::kFixedBase) {
+    // Comb tables per base, shared read-only across the column fan-out.
+    std::vector<std::unique_ptr<FixedBasePowTable>> tables(count);
+    common::parallel_for(count, [&](std::size_t i) {
+      if (used[i]) tables[i] = std::make_unique<FixedBasePowTable>(ctx, bases[i], shape.max_bits);
+    });
+    common::parallel_for(columns * parts, [&](std::size_t cell) {
+      std::size_t c, i0, i1;
+      cell_range(cell, c, i0, i1);
+      MontVec acc;
+      for (std::size_t i = i0; i < i1; ++i) {
+        if (!used[i] || exps[i][c].is_zero()) continue;
+        MontVec p = tables[i]->pow_mont(exps[i][c]);
+        acc = acc.empty() ? std::move(p) : ctx.mont_mul(acc, p);
+      }
+      partials[cell] = std::move(acc);
+    });
+    combine_partials(ctx, partials, columns, parts, out);
+    return;
+  }
+
+  std::vector<MontVec> mont_bases(count);
+  common::parallel_for(count, [&](std::size_t i) {
+    if (used[i]) mont_bases[i] = ctx.to_mont(bases[i]);
+  });
+
+  if (plan.kind == detail::MultiExpKind::kStraus) {
+    std::vector<std::vector<MontVec>> tables(count);
+    common::parallel_for(count, [&](std::size_t i) {
+      if (used[i]) tables[i] = build_window_table(ctx, mont_bases[i], w);
+    });
+    common::parallel_for(columns * parts, [&](std::size_t cell) {
+      std::size_t c, i0, i1;
+      cell_range(cell, c, i0, i1);
+      std::vector<BigInt> col(count);
+      for (std::size_t i = i0; i < i1; ++i) col[i] = exps[i][c];
+      partials[cell] = straus_column(ctx, tables, col, windows, w, i0, i1);
+    });
+    combine_partials(ctx, partials, columns, parts, out);
+    return;
+  }
+
+  common::parallel_for(columns * parts, [&](std::size_t cell) {
+    std::size_t c, i0, i1;
+    cell_range(cell, c, i0, i1);
+    std::vector<BigInt> col(count);
+    for (std::size_t i = i0; i < i1; ++i) col[i] = exps[i][c];
+    partials[cell] = pippenger_column(ctx, mont_bases, col, windows, w, i0, i1);
+  });
+  combine_partials(ctx, partials, columns, parts, out);
 }
 
 }  // namespace
@@ -353,28 +457,57 @@ MultiExpPlan plan_multi_exp(std::size_t count, std::size_t columns, std::size_t 
 }
 
 LaneStrausPlan plan_lane_straus(std::size_t count, std::size_t columns, std::size_t max_bits,
-                                std::size_t threads) {
+                                std::size_t threads, std::size_t problems,
+                                std::size_t modulus_bits) {
   const auto ceil_div = [](std::size_t a, std::size_t b) { return (a + b - 1) / b; };
   count = std::max<std::size_t>(count, 1);
   columns = std::max<std::size_t>(columns, 1);
   threads = std::max<std::size_t>(threads, 1);
   max_bits = std::max<std::size_t>(max_bits, 1);
+  problems = std::max<std::size_t>(problems, 1);
   // Costs in 8-lane products. The lane groups of a stage run in rounds of
   // `threads`; a group pays its slowest lane.
-  const std::size_t table_rounds = ceil_div(ceil_div(count, kLanes), threads);
-  const std::size_t combine_rounds = ceil_div(ceil_div(columns, kLanes), threads);
-  LaneStrausPlan best{1, 1};
-  std::size_t best_cost = std::numeric_limits<std::size_t>::max();
+  const std::size_t table_rounds = ceil_div(ceil_div(problems * count, kLanes), threads);
+  const std::size_t combine_rounds = ceil_div(ceil_div(problems * columns, kLanes), threads);
+  const std::size_t entry_bytes = ifma::digits_for(modulus_bits) * sizeof(u64);
+  LaneStrausPlan best{1, 1, std::numeric_limits<std::size_t>::max(), 0};
   for (unsigned w = 1; w <= kMaxLaneWindow; ++w) {
+    const std::size_t table_bytes = (problems * count << w) * entry_bytes;
+    if (w > 1 && problems > 1 && table_bytes > kLaneTableBudget) break;
     const std::size_t windows = ceil_div(max_bits, w);
     for (std::size_t parts = 1; parts <= count; ++parts) {
-      const std::size_t rounds = ceil_div(ceil_div(columns * parts, kLanes), threads);
+      const std::size_t rounds = ceil_div(ceil_div(problems * columns * parts, kLanes), threads);
       const std::size_t cost = rounds * windows * (w + ceil_div(count, parts)) +
                                table_rounds * (std::size_t(1) << w) + combine_rounds * parts;
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = {w, parts};
-      }
+      if (cost < best.cost) best = {w, parts, cost, table_bytes};
+    }
+  }
+  return best;
+}
+
+LaneWavePlan plan_lane_wave(std::span<const LaneStage> stages, std::size_t instances,
+                            std::size_t threads, std::size_t modulus_bits) {
+  threads = std::max<std::size_t>(threads, 1);
+  std::size_t narrowest = std::numeric_limits<std::size_t>::max();
+  for (const LaneStage& stage : stages) narrowest = std::min(narrowest, stage.columns);
+  narrowest = std::max<std::size_t>(narrowest, 1);
+  const std::size_t fill = std::min(std::max<std::size_t>(instances, 1),
+                                    (kLanes * threads + narrowest - 1) / narrowest);
+  LaneWavePlan best{1, 0};
+  std::size_t best_cost = 0;
+  for (std::size_t wave = 1; wave <= fill; ++wave) {
+    std::size_t cost = 0, table_bytes = 0;
+    for (const LaneStage& stage : stages) {
+      const LaneStrausPlan plan = plan_lane_straus(stage.count, stage.columns, stage.max_bits,
+                                                   threads, wave, modulus_bits);
+      cost += plan.cost;
+      table_bytes = std::max(table_bytes, plan.table_bytes);
+    }
+    if (wave > 1 && table_bytes > kLaneTableBudget) continue;
+    // Least cost per instance; ties keep the smaller wave.
+    if (wave == 1 || cost * best.instances < best_cost * wave) {
+      best = {wave, table_bytes};
+      best_cost = cost;
     }
   }
   return best;
@@ -397,96 +530,56 @@ unsigned plan_fixed_base_window(std::size_t max_bits) {
 
 }  // namespace detail
 
-std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<const BigInt> bases,
-                                     const std::vector<std::vector<BigInt>>& exps) {
-  const std::size_t count = bases.size();
-  if (exps.size() != count) throw InvalidArgument("multi_pow_matrix: row count mismatch");
-  const std::size_t columns = count == 0 ? 0 : exps[0].size();
-  std::size_t max_bits = 0;
-  std::vector<char> used(count, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (exps[i].size() != columns) throw InvalidArgument("multi_pow_matrix: ragged exponent rows");
-    for (const BigInt& e : exps[i]) {
-      if (e.is_negative()) throw InvalidArgument("multi_pow_matrix: negative exponent");
-      const std::size_t b = e.bit_length();
-      if (b > 0) used[i] = 1;
-      max_bits = std::max(max_bits, b);
+std::vector<std::vector<BigInt>> multi_pow_matrices(const MontgomeryContext& ctx,
+                                                    std::span<const MultiPowProblem> problems) {
+  std::vector<ProblemShape> shapes(problems.size());
+  std::vector<std::vector<BigInt>> out(problems.size());
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    const std::span<const BigInt> bases = problems[p].bases;
+    const std::vector<std::vector<BigInt>>& exps = *problems[p].exps;
+    ProblemShape& shape = shapes[p];
+    if (exps.size() != bases.size()) throw InvalidArgument("multi_pow_matrix: row count mismatch");
+    shape.columns = bases.empty() ? 0 : exps[0].size();
+    shape.used.assign(bases.size(), 0);
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      if (exps[i].size() != shape.columns) {
+        throw InvalidArgument("multi_pow_matrix: ragged exponent rows");
+      }
+      for (const BigInt& e : exps[i]) {
+        if (e.is_negative()) throw InvalidArgument("multi_pow_matrix: negative exponent");
+        const std::size_t b = e.bit_length();
+        if (b > 0) shape.used[i] = 1;
+        shape.max_bits = std::max(shape.max_bits, b);
+      }
+    }
+    out[p].assign(shape.columns, BigInt(1).mod_floor(ctx.modulus()));
+  }
+
+  const bool lanes = ifma::cpu_has_ifma() &&
+                     ifma::digits_for(ctx.modulus().bit_length()) <= ifma::kMaxDigits;
+  std::vector<std::size_t> lane;  // Straus-planned problems for the lane pass
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    const ProblemShape& shape = shapes[p];
+    if (problems[p].bases.empty() || shape.columns == 0 || shape.max_bits == 0) continue;
+    const detail::MultiExpPlan plan =
+        detail::plan_multi_exp(problems[p].bases.size(), shape.columns, shape.max_bits);
+    obs::count(plan.kind == detail::MultiExpKind::kFixedBase ? obs::Op::kMultiexpFixedBase
+               : plan.kind == detail::MultiExpKind::kStraus  ? obs::Op::kMultiexpStraus
+                                                             : obs::Op::kMultiexpPippenger);
+    if (lanes && plan.kind == detail::MultiExpKind::kStraus) {
+      lane.push_back(p);
+    } else {
+      scalar_multi_pow(ctx, problems[p].bases, *problems[p].exps, shape, plan, out[p]);
     }
   }
-  std::vector<BigInt> out(columns, BigInt(1).mod_floor(ctx.modulus()));
-  if (count == 0 || columns == 0 || max_bits == 0) return out;
-
-  const detail::MultiExpPlan plan = detail::plan_multi_exp(count, columns, max_bits);
-  obs::count(plan.kind == detail::MultiExpKind::kFixedBase ? obs::Op::kMultiexpFixedBase
-             : plan.kind == detail::MultiExpKind::kStraus  ? obs::Op::kMultiexpStraus
-                                                           : obs::Op::kMultiexpPippenger);
-  if (plan.kind == detail::MultiExpKind::kStraus && ifma::cpu_has_ifma() &&
-      ifma::digits_for(ctx.modulus().bit_length()) <= ifma::kMaxDigits) {
-    return lane_multi_pow(ctx, bases, exps, used, max_bits);
-  }
-  const unsigned w = plan.window;
-  const std::size_t windows = (max_bits + w - 1) / w;
-  const std::size_t parts = column_partitions(count, columns);
-  std::vector<MontVec> partials(columns * parts);
-  const auto cell_range = [&](std::size_t cell, std::size_t& c, std::size_t& i0,
-                              std::size_t& i1) {
-    c = cell / parts;
-    const std::size_t p = cell % parts;
-    i0 = p * count / parts;
-    i1 = (p + 1) * count / parts;
-  };
-
-  if (plan.kind == detail::MultiExpKind::kFixedBase) {
-    // Comb tables per base, shared read-only across the column fan-out.
-    std::vector<std::unique_ptr<FixedBasePowTable>> tables(count);
-    common::parallel_for(count, [&](std::size_t i) {
-      if (used[i]) tables[i] = std::make_unique<FixedBasePowTable>(ctx, bases[i], max_bits);
-    });
-    common::parallel_for(columns * parts, [&](std::size_t cell) {
-      std::size_t c, i0, i1;
-      cell_range(cell, c, i0, i1);
-      MontVec acc;
-      for (std::size_t i = i0; i < i1; ++i) {
-        if (!used[i] || exps[i][c].is_zero()) continue;
-        MontVec p = tables[i]->pow_mont(exps[i][c]);
-        acc = acc.empty() ? std::move(p) : ctx.mont_mul(acc, p);
-      }
-      partials[cell] = std::move(acc);
-    });
-    combine_partials(ctx, partials, columns, parts, out);
-    return out;
-  }
-
-  std::vector<MontVec> mont_bases(count);
-  common::parallel_for(count, [&](std::size_t i) {
-    if (used[i]) mont_bases[i] = ctx.to_mont(bases[i]);
-  });
-
-  if (plan.kind == detail::MultiExpKind::kStraus) {
-    std::vector<std::vector<MontVec>> tables(count);
-    common::parallel_for(count, [&](std::size_t i) {
-      if (used[i]) tables[i] = build_window_table(ctx, mont_bases[i], w);
-    });
-    common::parallel_for(columns * parts, [&](std::size_t cell) {
-      std::size_t c, i0, i1;
-      cell_range(cell, c, i0, i1);
-      std::vector<BigInt> col(count);
-      for (std::size_t i = i0; i < i1; ++i) col[i] = exps[i][c];
-      partials[cell] = straus_column(ctx, tables, col, windows, w, i0, i1);
-    });
-    combine_partials(ctx, partials, columns, parts, out);
-    return out;
-  }
-
-  common::parallel_for(columns * parts, [&](std::size_t cell) {
-    std::size_t c, i0, i1;
-    cell_range(cell, c, i0, i1);
-    std::vector<BigInt> col(count);
-    for (std::size_t i = i0; i < i1; ++i) col[i] = exps[i][c];
-    partials[cell] = pippenger_column(ctx, mont_bases, col, windows, w, i0, i1);
-  });
-  combine_partials(ctx, partials, columns, parts, out);
+  if (!lane.empty()) lane_multi_pow(ctx, problems, shapes, lane, out);
   return out;
+}
+
+std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<const BigInt> bases,
+                                     const std::vector<std::vector<BigInt>>& exps) {
+  const MultiPowProblem problem{bases, &exps};
+  return std::move(multi_pow_matrices(ctx, {&problem, 1})[0]);
 }
 
 BigInt multi_pow(const MontgomeryContext& ctx, std::span<const BigInt> bases,

@@ -1,6 +1,8 @@
 // MontgomeryContext::pow_batch: many independent exponentiations to one
 // public exponent (Paillier encryption factors r^N mod N^2, pool refills,
-// fold blinders), and the 8-lane kernel declared in ifma.h.
+// fold blinders); pow_batch_secret: the same to one secret exponent (the
+// CRT exponents of Paillier decryption), in constant time; and the 8-lane
+// kernel declared in ifma.h.
 //
 // On CPUs with AVX-512 IFMA the bases run eight at a time: each __m512i
 // holds one radix-2^52 digit position of all eight lanes, and the Montgomery
@@ -22,6 +24,7 @@
 #include "bignum/modarith.h"
 #include "common/error.h"
 #include "common/parallel.h"
+#include "common/secret.h"
 #include "obs/obs.h"
 
 namespace spfe::bignum {
@@ -122,6 +125,8 @@ SPFE_IFMA_TARGET inline Vec ct_blend(__mmask8 take_b, Vec a, Vec b) {
 SPFE_IFMA_TARGET inline Vec ct_splat(u64 v) {
   return _mm512_set1_epi64(static_cast<long long>(v));
 }
+SPFE_IFMA_TARGET inline Vec ct_and(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+SPFE_IFMA_TARGET inline Vec ct_or(Vec a, Vec b) { return _mm512_or_si512(a, b); }
 
 }  // namespace
 
@@ -286,6 +291,49 @@ void ifma_group(const IfmaPlan& plan, const WindowSchedule& sched, const BigInt&
   }
 }
 
+// Eight exponentiations base[lane]^e mod n to one secret exponent e, given
+// by its 64-bit limbs and its bit length (public by policy, as in
+// MontgomeryContext::pow). The same 4-bit fixed window as pow: every window
+// pays four squarings (none before the top one) and one product, and the
+// operand is read through a mask from every one of the 16 table entries,
+// so neither the work nor the memory access pattern depends on a digit.
+// `scratch` holds 20k + 1 vectors.
+// SPFE_CT_BEGIN(ifma_pow8_secret)
+SPFE_IFMA_TARGET void ct_ifma_pow8_secret(const u64* /*secret*/ base, u64* out,
+                                          const u64* /*secret*/ exp, std::size_t bits,
+                                          const IfmaPlan& plan, Vec* scratch) {
+  const std::size_t k = plan.k;
+  Vec* table = scratch;  // table[d] = base^d in Montgomery form
+  Vec* acc = table + 16 * k;
+  Vec* entry = acc + k;
+  Vec* t = entry + k;
+  const auto* r2 = reinterpret_cast<const Vec*>(plan.r2);
+  ct_ifma_mont_mul(table, reinterpret_cast<const Vec*>(plan.one), r2, plan, t);
+  ct_ifma_mont_mul(table + k, reinterpret_cast<const Vec*>(base), r2, plan, t);
+  for (std::size_t d = 2; d < 16; ++d) {
+    ct_ifma_mont_mul(table + d * k, table + (d - 1) * k, table + k, plan, t);
+  }
+  for (std::size_t j = 0; j < k; ++j) acc[j] = table[j];
+  const std::size_t windows = (bits + 3) / 4;
+  for (std::size_t w = windows; w-- > 0;) {
+    if (w + 1 != windows) {  // window position is public, not the digit
+      for (int s = 0; s < 4; ++s) ct_ifma_mont_mul(acc, acc, acc, plan, t);
+    }
+    // 4-bit windows never straddle a 64-bit limb; the limb index depends
+    // only on the public window position.
+    const u64 digit = (exp[(4 * w) / 64] >> ((4 * w) % 64)) & 0xf;
+    for (std::size_t j = 0; j < k; ++j) entry[j] = _mm512_setzero_si512();
+    for (std::size_t d = 0; d < 16; ++d) {
+      const Vec mask = ct_splat(common::ct_eq_u64(d, digit));
+      for (std::size_t j = 0; j < k; ++j) entry[j] = ct_or(entry[j], ct_and(mask, table[d * k + j]));
+    }
+    ct_ifma_mont_mul(acc, acc, entry, plan, t);
+  }
+  ct_ifma_mont_mul(reinterpret_cast<Vec*>(out), acc, reinterpret_cast<const Vec*>(plan.one),
+                   plan, t);
+}
+// SPFE_CT_END
+
 }  // namespace
 
 const char* MontgomeryContext::pow_batch_kernel() {
@@ -314,6 +362,41 @@ std::vector<BigInt> MontgomeryContext::pow_batch(std::span<const BigInt> bases,
   const WindowSchedule sched(public_exp);
   common::parallel_for((bases.size() + kLanes - 1) / kLanes,
                        [&](std::size_t g) { ifma_group(plan, sched, modulus_, bases, g, out); });
+  return out;
+}
+
+std::vector<BigInt> MontgomeryContext::pow_batch_secret(std::span<const BigInt> bases,
+                                                        const BigInt& /*secret*/ exp) const {
+  if (exp.is_negative()) {
+    throw InvalidArgument("MontgomeryContext::pow_batch_secret: negative exponent");
+  }
+  obs::count(obs::Op::kModExp, bases.size());
+  std::vector<BigInt> out(bases.size());
+  const std::size_t k = digits_for(modulus_.bit_length());
+  if (!cpu_has_ifma() || k > kMaxDigits || exp.is_zero()) {
+    common::parallel_for(bases.size(), [&](std::size_t i) { out[i] = pow_uncounted(bases[i], exp); });
+    return out;
+  }
+  const IfmaPlan plan(modulus_);
+  std::vector<u64> limbs = exp.limbs();
+  limbs.resize((exp.bit_length() + 63) / 64 + 1, 0);
+  common::parallel_for((bases.size() + kLanes - 1) / kLanes, [&](std::size_t g) {
+    thread_local std::vector<u64> buffer;
+    u64* scratch = aligned_words(buffer, (22 * k + 1) * kLanes);
+    u64* in = scratch + (20 * k + 1) * kLanes;
+    u64* res = in + k * kLanes;
+    std::fill(in, in + k * kLanes, 0);
+    const std::size_t first = g * kLanes;
+    const std::size_t lanes = std::min(kLanes, bases.size() - first);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      to_digits(bases[first + lane].mod_floor(modulus_), k, in + lane, kLanes);
+    }
+    ct_ifma_pow8_secret(in, res, limbs.data(), exp.bit_length(), plan,
+                        reinterpret_cast<Vec*>(scratch));
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      out[first + lane] = from_digits(res + lane, kLanes, k);
+    }
+  });
   return out;
 }
 

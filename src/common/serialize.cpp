@@ -100,9 +100,16 @@ std::uint64_t Reader::varint_count(std::size_t min_item_bytes) {
 }
 
 Bytes Reader::bytes() {
+  const BytesView view = bytes_view();
+  return Bytes(view.begin(), view.end());
+}
+
+BytesView Reader::bytes_view() {
   const std::uint64_t len = varint();
   if (len > remaining()) throw SerializationError("Reader: byte-string length exceeds buffer");
-  return raw(static_cast<std::size_t>(len));
+  const BytesView view = data_.subspan(pos_, static_cast<std::size_t>(len));
+  pos_ += static_cast<std::size_t>(len);
+  return view;
 }
 
 Bytes Reader::raw(std::size_t len) {

@@ -60,6 +60,8 @@ class Reader {
   // a potential OOM) before the per-element reads would catch it.
   std::uint64_t varint_count(std::size_t min_item_bytes);
   Bytes bytes();
+  // bytes() without the copy: a view into the Reader's buffer.
+  BytesView bytes_view();
   Bytes raw(std::size_t len);
   std::string str();
 

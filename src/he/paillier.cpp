@@ -1,5 +1,8 @@
 #include "he/paillier.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include "bignum/multiexp.h"
 #include "bignum/primes.h"
 #include "bignum/serialize.h"
@@ -100,14 +103,34 @@ BigInt PaillierPublicKey::mul_scalar_sum(std::span<const BigInt> cts,
 
 std::vector<BigInt> PaillierPublicKey::mul_scalar_sum_matrix(
     std::span<const BigInt> cts, const std::vector<std::vector<BigInt>>& scalars) const {
-  std::vector<std::vector<BigInt>> reduced(scalars.size());
-  for (std::size_t i = 0; i < scalars.size(); ++i) {
-    reduced[i].resize(scalars[i].size());
-    for (std::size_t c = 0; c < scalars[i].size(); ++c) {
-      reduced[i][c] = scalars[i][c].mod_floor(n_);
+  const bignum::MultiPowProblem problem{cts, &scalars};
+  return std::move(mul_scalar_sum_matrices({&problem, 1})[0]);
+}
+
+std::vector<std::vector<BigInt>> PaillierPublicKey::mul_scalar_sum_matrices(
+    std::span<const bignum::MultiPowProblem> problems) const {
+  // Scalars reduced into [0, N), as in mul_scalar. Matrices already in
+  // range (every cPIR fold) are used as they are.
+  const auto in_range = [&](const BigInt& s) { return !s.is_negative() && s < n_; };
+  std::vector<std::vector<std::vector<BigInt>>> reduced(problems.size());
+  std::vector<bignum::MultiPowProblem> reduced_problems(problems.begin(), problems.end());
+  for (std::size_t p = 0; p < problems.size(); ++p) {
+    const std::vector<std::vector<BigInt>>& scalars = *problems[p].exps;
+    if (std::all_of(scalars.begin(), scalars.end(), [&](const std::vector<BigInt>& row) {
+          return std::all_of(row.begin(), row.end(), in_range);
+        })) {
+      continue;
     }
+    reduced[p].resize(scalars.size());
+    for (std::size_t i = 0; i < scalars.size(); ++i) {
+      reduced[p][i].resize(scalars[i].size());
+      for (std::size_t c = 0; c < scalars[i].size(); ++c) {
+        reduced[p][i][c] = scalars[i][c].mod_floor(n_);
+      }
+    }
+    reduced_problems[p].exps = &reduced[p];
   }
-  return bignum::multi_pow_matrix(mont_n2_, cts, reduced);
+  return bignum::multi_pow_matrices(mont_n2_, reduced_problems);
 }
 
 BigInt PaillierPublicKey::negate(const BigInt& c) const { return bignum::mod_inverse(c, n2_); }
@@ -199,17 +222,24 @@ void PaillierPrivateKey::check_ciphertext(const BigInt& c) const {
 // in tests/ct_harness_test.cpp.
 BigInt PaillierPrivateKey::decrypt(const BigInt& c) const {
   obs::count(obs::Op::kPaillierDecrypt);
+  const auto [cp, cq] = crt_residues(c);
+  return crt_finish(mont_p2_.pow(cp, ep_), mont_q2_.pow(cq, eq_));
+}
+
+std::pair<BigInt, BigInt> PaillierPrivateKey::crt_residues(const BigInt& c) const {
   check_ciphertext(c);
-  const BigInt cp = c.mod_floor(p2_);
-  const BigInt cq = c.mod_floor(q2_);
+  BigInt cp = c.mod_floor(p2_);
+  BigInt cq = c.mod_floor(q2_);
   // gcd(c, N) is 1 unless p or q divides c — check the residues directly
   // rather than running Euclid on the 2|N|-bit ciphertext.
   if (cp.mod_floor(p_).is_zero() || cq.mod_floor(q_).is_zero()) {
     throw CryptoError("Paillier decrypt: invalid ciphertext");
   }
-  const BigInt up = mont_p2_.pow(cp, ep_);
+  return {std::move(cp), std::move(cq)};
+}
+
+BigInt PaillierPrivateKey::crt_finish(const BigInt& up, const BigInt& uq) const {
   const BigInt mp = bignum::mod_mul((up - BigInt(1)) / p_, hp_, p_);
-  const BigInt uq = mont_q2_.pow(cq, eq_);
   const BigInt mq = bignum::mod_mul((uq - BigInt(1)) / q_, hq_, q_);
   return bignum::crt_combine(mp, p_, mq, q_, pinv_q_);
 }
@@ -227,8 +257,13 @@ BigInt PaillierPrivateKey::decrypt_reference(const BigInt& c) const {
 }
 
 std::vector<BigInt> PaillierPrivateKey::decrypt_all(std::span<const BigInt> cts) const {
+  obs::count(obs::Op::kPaillierDecrypt, cts.size());
+  std::vector<BigInt> cp(cts.size()), cq(cts.size());
+  for (std::size_t i = 0; i < cts.size(); ++i) std::tie(cp[i], cq[i]) = crt_residues(cts[i]);
+  const std::vector<BigInt> up = mont_p2_.pow_batch_secret(cp, ep_);
+  const std::vector<BigInt> uq = mont_q2_.pow_batch_secret(cq, eq_);
   std::vector<BigInt> out(cts.size());
-  common::parallel_for(cts.size(), [&](std::size_t i) { out[i] = decrypt(cts[i]); });
+  common::parallel_for(cts.size(), [&](std::size_t i) { out[i] = crt_finish(up[i], uq[i]); });
   return out;
 }
 

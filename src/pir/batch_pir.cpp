@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/serialize.h"
+#include "obs/obs.h"
 
 namespace spfe::pir {
 namespace {
@@ -37,21 +38,6 @@ std::vector<std::vector<std::size_t>> CuckooParams::all_bucket_contents() const 
     for (const std::size_t b : buckets_of(i)) out[b].push_back(i);
   }
   return out;  // each ascending by construction
-}
-
-std::vector<std::size_t> CuckooParams::bucket_contents(std::size_t b) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto bs = buckets_of(i);
-    if (std::find(bs.begin(), bs.end(), b) != bs.end()) out.push_back(i);
-  }
-  return out;  // ascending by construction
-}
-
-std::size_t CuckooParams::max_load() const {
-  std::size_t cap = 1;
-  for (const auto& bucket : all_bucket_contents()) cap = std::max(cap, bucket.size());
-  return cap;
 }
 
 std::size_t CuckooParams::bucket_capacity() const {
@@ -114,6 +100,7 @@ Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, Client
 
 Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, ClientState& state,
                                  crypto::Prg& prg, he::PaillierRandomnessPool* pool) const {
+  SPFE_OBS_SPAN("batch_pir.make_query");
   if (pool != nullptr && !(pool->public_key() == pk_)) pool = nullptr;
   if (indices.size() != m_) throw InvalidArgument("CuckooBatchPir: wrong batch size");
   for (const std::size_t i : indices) {
@@ -123,11 +110,15 @@ Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, Client
   // Retry with fresh public seeds until placement succeeds *and* the seed's
   // max bucket load fits the deterministic capacity bound (both w.h.p. on
   // the first try at B = 2m with 3 hashes).
+  std::vector<std::vector<std::size_t>> contents;
   for (int attempt = 0;; ++attempt) {
     state.params.hash_seed = prg.u64();
     try {
-      if (state.params.max_load() > state.params.bucket_capacity()) {
-        throw ProtocolError("CuckooBatchPir: bucket overflow; re-seed");
+      contents = state.params.all_bucket_contents();
+      for (const auto& bucket : contents) {
+        if (bucket.size() > state.params.bucket_capacity()) {
+          throw ProtocolError("CuckooBatchPir: bucket overflow; re-seed");
+        }
       }
       state.bucket_for_query = place(state.params, indices, prg);
       break;
@@ -150,10 +141,9 @@ Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, Client
     std::size_t position = 0;  // dummy queries fetch slot 0
     if (bucket_slot[b].has_value()) {
       const std::size_t want = indices[*bucket_slot[b]];
-      const auto contents = state.params.bucket_contents(b);
-      const auto it = std::find(contents.begin(), contents.end(), want);
-      if (it == contents.end()) throw ProtocolError("CuckooBatchPir: placement inconsistent");
-      position = static_cast<std::size_t>(it - contents.begin());
+      const auto it = std::find(contents[b].begin(), contents[b].end(), want);
+      if (it == contents[b].end()) throw ProtocolError("CuckooBatchPir: placement inconsistent");
+      position = static_cast<std::size_t>(it - contents[b].begin());
     }
     w.bytes(pool != nullptr ? bucket_pir.make_query(position, state.pir_states[b], *pool)
                             : bucket_pir.make_query(position, state.pir_states[b], prg));
@@ -161,76 +151,85 @@ Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, Client
   return w.take();
 }
 
+namespace {
+
+// The query's hash seed and per-bucket selector messages (views into it).
+std::vector<BytesView> read_bucket_queries(BytesView query, CuckooParams& params) {
+  Reader r(query);
+  params.hash_seed = r.u64();
+  std::vector<BytesView> queries(params.num_buckets);
+  for (BytesView& q : queries) q = r.bytes_view();
+  r.expect_done();
+  return queries;
+}
+
+std::vector<BytesView> read_bucket_answers(BytesView answer, std::size_t buckets) {
+  Reader r(answer);
+  std::vector<BytesView> answers(buckets);
+  for (BytesView& a : answers) a = r.bytes_view();
+  r.expect_done();
+  return answers;
+}
+
+Bytes write_bucket_answers(const std::vector<Bytes>& answers) {
+  Writer w;
+  for (const Bytes& a : answers) w.bytes(a);
+  return w.take();
+}
+
+}  // namespace
+
 Bytes CuckooBatchPir::answer_u64(std::span<const std::uint64_t> database, BytesView query,
                                  crypto::Prg& prg) const {
+  SPFE_OBS_SPAN("batch_pir.answer");
   if (database.size() != params_.n) {
     throw InvalidArgument("CuckooBatchPir: database size mismatch");
   }
-  Reader r(query);
   CuckooParams params = params_;
-  params.hash_seed = r.u64();
+  const std::vector<BytesView> queries = read_bucket_queries(query, params);
   const std::size_t cap = params.bucket_capacity();
   const PaillierPir bucket_pir(pk_, cap, depth_);
 
   const auto all_contents = params.all_bucket_contents();
-  Writer w;
-  for (std::size_t b = 0; b < params.num_buckets; ++b) {
-    const Bytes q = r.bytes();
-    std::vector<std::uint64_t> bucket(cap, 0);
+  std::vector<std::uint64_t> bucket;
+  return write_bucket_answers(bucket_pir.answer_u64_many(queries, [&](std::size_t b) {
     const auto& contents = all_contents[b];
-    if (contents.size() > cap) {
-      throw ProtocolError("CuckooBatchPir: seed exceeds capacity bound");
-    }
-    for (std::size_t pos = 0; pos < contents.size(); ++pos) {
-      bucket[pos] = database[contents[pos]];
-    }
-    w.bytes(bucket_pir.answer_u64(bucket, q, prg));
-  }
-  r.expect_done();
-  return w.take();
+    if (contents.size() > cap) throw ProtocolError("CuckooBatchPir: seed exceeds capacity bound");
+    bucket.assign(cap, 0);
+    for (std::size_t pos = 0; pos < contents.size(); ++pos) bucket[pos] = database[contents[pos]];
+    return std::span<const std::uint64_t>(bucket);
+  }, prg));
 }
 
 Bytes CuckooBatchPir::answer_bytes(std::span<const Bytes> database, std::size_t item_bytes,
                                    BytesView query, crypto::Prg& prg) const {
+  SPFE_OBS_SPAN("batch_pir.answer");
   if (database.size() != params_.n) {
     throw InvalidArgument("CuckooBatchPir: database size mismatch");
   }
-  Reader r(query);
   CuckooParams params = params_;
-  params.hash_seed = r.u64();
+  const std::vector<BytesView> queries = read_bucket_queries(query, params);
   const std::size_t cap = params.bucket_capacity();
   const PaillierPir bucket_pir(pk_, cap, depth_);
 
   const auto all_contents = params.all_bucket_contents();
-  const Bytes zero_item(item_bytes, 0);
-  Writer w;
-  for (std::size_t b = 0; b < params.num_buckets; ++b) {
-    const Bytes q = r.bytes();
-    std::vector<Bytes> bucket(cap, zero_item);
+  std::vector<Bytes> bucket;
+  return write_bucket_answers(bucket_pir.answer_bytes_many(queries, item_bytes, [&](std::size_t b) {
     const auto& contents = all_contents[b];
-    if (contents.size() > cap) {
-      throw ProtocolError("CuckooBatchPir: seed exceeds capacity bound");
-    }
-    for (std::size_t pos = 0; pos < contents.size(); ++pos) {
-      bucket[pos] = database[contents[pos]];
-    }
-    w.bytes(bucket_pir.answer_bytes(bucket, item_bytes, q, prg));
-  }
-  r.expect_done();
-  return w.take();
+    if (contents.size() > cap) throw ProtocolError("CuckooBatchPir: seed exceeds capacity bound");
+    bucket.assign(cap, Bytes(item_bytes, 0));
+    for (std::size_t pos = 0; pos < contents.size(); ++pos) bucket[pos] = database[contents[pos]];
+    return std::span<const Bytes>(bucket);
+  }, prg));
 }
 
 std::vector<Bytes> CuckooBatchPir::decode_bytes(const he::PaillierPrivateKey& sk,
                                                 std::size_t item_bytes, BytesView answer,
                                                 const ClientState& state) const {
-  const std::size_t cap = state.params.bucket_capacity();
-  const PaillierPir bucket_pir(pk_, cap, depth_);
-  Reader r(answer);
-  std::vector<Bytes> per_bucket(state.params.num_buckets);
-  for (std::size_t b = 0; b < state.params.num_buckets; ++b) {
-    per_bucket[b] = bucket_pir.decode_bytes(sk, item_bytes, r.bytes());
-  }
-  r.expect_done();
+  SPFE_OBS_SPAN("batch_pir.decode");
+  const PaillierPir bucket_pir(pk_, state.params.bucket_capacity(), depth_);
+  const std::vector<Bytes> per_bucket = bucket_pir.decode_bytes_many(
+      sk, item_bytes, read_bucket_answers(answer, state.params.num_buckets));
   std::vector<Bytes> out(m_);
   for (std::size_t j = 0; j < m_; ++j) out[j] = per_bucket[state.bucket_for_query[j]];
   return out;
@@ -239,14 +238,10 @@ std::vector<Bytes> CuckooBatchPir::decode_bytes(const he::PaillierPrivateKey& sk
 std::vector<std::uint64_t> CuckooBatchPir::decode_u64(const he::PaillierPrivateKey& sk,
                                                       BytesView answer,
                                                       const ClientState& state) const {
-  const std::size_t cap = state.params.bucket_capacity();
-  const PaillierPir bucket_pir(pk_, cap, depth_);
-  Reader r(answer);
-  std::vector<std::uint64_t> per_bucket(state.params.num_buckets);
-  for (std::size_t b = 0; b < state.params.num_buckets; ++b) {
-    per_bucket[b] = bucket_pir.decode_u64(sk, r.bytes());
-  }
-  r.expect_done();
+  SPFE_OBS_SPAN("batch_pir.decode");
+  const PaillierPir bucket_pir(pk_, state.params.bucket_capacity(), depth_);
+  const std::vector<std::uint64_t> per_bucket =
+      bucket_pir.decode_u64_many(sk, read_bucket_answers(answer, state.params.num_buckets));
   std::vector<std::uint64_t> out(m_);
   for (std::size_t j = 0; j < m_; ++j) out[j] = per_bucket[state.bucket_for_query[j]];
   return out;

@@ -34,12 +34,9 @@ struct CuckooParams {
 
   // The (deduplicated, sorted) candidate buckets of index i.
   std::vector<std::size_t> buckets_of(std::size_t index) const;
-  // Bucket contents: sorted indices of all items mapping to bucket b.
-  std::vector<std::size_t> bucket_contents(std::size_t b) const;
-  // All buckets in one O(n) pass (server hot path).
+  // Bucket contents, each the sorted indices of the items mapping to
+  // that bucket, in one O(n) pass.
   std::vector<std::vector<std::size_t>> all_bucket_contents() const;
-  // Actual max bucket load under this seed (full scan).
-  std::size_t max_load() const;
   // Deterministic public capacity bound, a function of (n, num_buckets)
   // only — query/answer sizes therefore do not depend on the hash seed
   // (which would otherwise open a message-size side channel; caught by
@@ -75,14 +72,17 @@ class CuckooBatchPir {
   Bytes make_query(const std::vector<std::size_t>& indices, ClientState& state,
                    crypto::Prg& prg, he::PaillierRandomnessPool* pool) const;
 
-  // Server: u64 item database.
+  // Server: u64 item database. The buckets are answered in one
+  // PaillierPir::answer_u64_many call, each bucket's items built when its
+  // wave starts.
   Bytes answer_u64(std::span<const std::uint64_t> database, BytesView query,
                    crypto::Prg& prg) const;
   // Server: equal-length byte items (e.g. the encrypted database of §3.3.3).
   Bytes answer_bytes(std::span<const Bytes> database, std::size_t item_bytes, BytesView query,
                      crypto::Prg& prg) const;
 
-  // Client: recovers the m items in query order.
+  // Client: recovers the m items in query order (one PaillierPir::
+  // decode_*_many call over every bucket's answer).
   std::vector<std::uint64_t> decode_u64(const he::PaillierPrivateKey& sk, BytesView answer,
                                         const ClientState& state) const;
   std::vector<Bytes> decode_bytes(const he::PaillierPrivateKey& sk, std::size_t item_bytes,

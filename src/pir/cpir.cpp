@@ -1,7 +1,9 @@
 #include "pir/cpir.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "bignum/multiexp.h"
 #include "bignum/serialize.h"
 #include "common/error.h"
 #include "common/parallel.h"
@@ -117,197 +119,285 @@ Bytes PaillierPir::make_query_impl(
   return w.take();
 }
 
-Bytes PaillierPir::answer_chunks(std::vector<std::vector<BigInt>> items, BytesView query,
-                                 crypto::Prg& prg) const {
-  SPFE_OBS_SPAN("cpir.answer");
-  Reader r(query);
-  // Parse per-dimension selectors.
-  std::vector<std::vector<BigInt>> selectors(dims_.size());
-  for (std::size_t j = 0; j < dims_.size(); ++j) {
-    selectors[j].reserve(dims_[j]);
-    for (std::size_t i = 0; i < dims_[j]; ++i) {
-      selectors[j].push_back(pk_.parse_ciphertext(r));
-    }
-  }
-  r.expect_done();
-
-  const std::size_t cb = chunk_bytes();
+std::vector<PaillierPir::LevelShape> PaillierPir::level_shapes(std::size_t level0_chunks) const {
+  const std::size_t pieces = (pk_.ciphertext_bytes() + chunk_bytes() - 1) / chunk_bytes();
+  std::vector<LevelShape> shapes;
+  std::size_t items = n_, chunks = level0_chunks;
   for (std::size_t level = 0; level < dims_.size(); ++level) {
-    obs::Span fold_span("cpir.fold");
-    fold_span.note("level=" + std::to_string(level));
-    const std::size_t dim = dims_[level];
-    const std::size_t groups = (items.size() + dim - 1) / dim;
-    const std::size_t chunks = items.empty() ? 0 : items[0].size();
-    // Draw each cell's encrypt(0) randomness serially in (group, chunk)
-    // order — exactly the order a serial fold consumes the PRG — so the
-    // answer bytes are identical for every thread count and fold kernel.
-    std::vector<BigInt> rand0(groups * chunks);
-    for (BigInt& unit : rand0) unit = pk_.random_unit(prg);
-    const bool last = level + 1 == dims_.size();
-    if (last) {
-      if (groups != 1) throw InvalidArgument("PaillierPir: dimension mismatch");
-      // The final level rerandomizes every cell with a second unit, drawn
-      // next in the same order. r1^N * r2^N = (r1 r2 mod N)^N mod N^2, so
-      // one factor per cell does both the blinding and the rerandomization.
-      for (BigInt& unit : rand0) unit = bignum::mod_mul(unit, pk_.random_unit(prg), pk_.n());
+    const std::size_t groups = (items + dims_[level] - 1) / dims_[level];
+    if (level + 1 == dims_.size() && groups != 1) {
+      throw InvalidArgument("PaillierPir: dimension mismatch");
     }
-    const std::vector<BigInt> blinders = pk_.encryption_factors(rand0);
-    std::vector<std::vector<BigInt>> folded(groups);
-    for (auto& group : folded) group.resize(chunks);
-    if (fold_kernel_ == FoldKernel::kMultiExp) {
-      // One simultaneous multi-exp per level: base-major exponent matrix
-      // with one column per (group, chunk) cell, so window tables built for
-      // this level's selectors are shared across every cell.
-      std::vector<std::vector<BigInt>> exps(dim);
-      for (std::size_t row = 0; row < dim; ++row) {
-        exps[row].resize(groups * chunks);
-        for (std::size_t g = 0; g < groups; ++g) {
-          const std::size_t idx = g * dim + row;
-          if (idx >= items.size()) continue;  // ragged tail group: exponent 0
-          for (std::size_t c = 0; c < chunks; ++c) {
-            exps[row][g * chunks + c] = items[idx][c];
+    shapes.push_back({chunks, groups});
+    items = groups;
+    chunks *= pieces;
+  }
+  return shapes;
+}
+
+PaillierPir::WavePlan PaillierPir::plan_wave(std::size_t instances, std::size_t level0_chunks,
+                                             std::size_t level0_bits) const {
+  std::vector<bignum::detail::LaneStage> stages;
+  for (const LevelShape& shape : level_shapes(level0_chunks)) {
+    const std::size_t bits = stages.empty() ? level0_bits : chunk_bytes() * 8;
+    stages.push_back({dims_[stages.size()], shape.cells(), bits});
+  }
+  const bignum::detail::LaneWavePlan plan = bignum::detail::plan_lane_wave(
+      stages, instances, common::ThreadPool::global().thread_count(),
+      pk_.n_squared().bit_length());
+  return {plan.instances, plan.table_bytes};
+}
+
+std::vector<Bytes> PaillierPir::answer_chunks(std::span<const BytesView> queries,
+                                              std::size_t level0_chunks, std::size_t level0_bits,
+                                              const ItemSource& items, crypto::Prg& prg) const {
+  SPFE_OBS_SPAN("cpir.answer");
+  const std::vector<LevelShape> shapes = level_shapes(level0_chunks);
+  const std::size_t depth = dims_.size();
+  const std::size_t cb = chunk_bytes();
+  const std::size_t ct_bytes = pk_.ciphertext_bytes();
+  const std::size_t pieces = (ct_bytes + cb - 1) / cb;
+  // Blinders per instance, level by level: one per cell.
+  std::vector<std::size_t> level_offset(depth + 1, 0);
+  for (std::size_t level = 0; level < depth; ++level) {
+    level_offset[level + 1] = level_offset[level] + shapes[level].cells();
+  }
+  const std::size_t per_instance = level_offset[depth];
+  const std::size_t wave = plan_wave(queries.size(), level0_chunks, level0_bits).instances;
+
+  // A level's input is its exponent matrix, base-major with one column per
+  // (group, chunk) cell: item `item` of the level is row item % dim of
+  // group item / dim. Entries no item fills (a ragged tail group) stay 0.
+  using Matrix = std::vector<std::vector<BigInt>>;
+  const auto level_matrix = [&](std::size_t level) {
+    return Matrix(dims_[level], std::vector<BigInt>(shapes[level].cells()));
+  };
+  const auto place = [&](Matrix& m, std::size_t level, std::size_t item, std::size_t chunk,
+                         BigInt value) {
+    const std::size_t dim = dims_[level];
+    m[item % dim][(item / dim) * shapes[level].chunks + chunk] = std::move(value);
+  };
+
+  std::vector<Bytes> answers;
+  answers.reserve(queries.size());
+  for (std::size_t first = 0; first < queries.size(); first += wave) {
+    const std::size_t size = std::min(wave, queries.size() - first);
+    // The wave's items and selectors, made only now.
+    std::vector<Matrix> exps(size);
+    std::vector<std::vector<std::vector<BigInt>>> selectors(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      exps[i] = level_matrix(0);
+      items(first + i, [&](std::size_t item, std::size_t chunk, BigInt value) {
+        place(exps[i], 0, item, chunk, std::move(value));
+      });
+      Reader r(queries[first + i]);
+      selectors[i].resize(depth);
+      for (std::size_t j = 0; j < depth; ++j) {
+        selectors[i][j].reserve(dims_[j]);
+        for (std::size_t row = 0; row < dims_[j]; ++row) {
+          selectors[i][j].push_back(pk_.parse_ciphertext(r));
+        }
+      }
+      r.expect_done();
+    }
+
+    std::vector<BigInt> blinders;
+    {
+      obs::Span span("cpir.fold");
+      span.note("blinders");
+      // Each cell's encrypt(0) randomness, drawn serially in the order
+      // sequential answers consume the PRG: instance by instance, level by
+      // level, (group, chunk) within a level. The final level rerandomizes
+      // every cell with a second unit, drawn after the level's first ones.
+      // r1^N * r2^N = (r1 r2 mod N)^N mod N^2, so one factor per cell does
+      // both the blinding and the rerandomization.
+      std::vector<BigInt> units(size * per_instance);
+      for (std::size_t i = 0; i < size; ++i) {
+        for (std::size_t level = 0; level < depth; ++level) {
+          BigInt* cell = units.data() + i * per_instance + level_offset[level];
+          const std::size_t cells = level_offset[level + 1] - level_offset[level];
+          for (std::size_t c = 0; c < cells; ++c) cell[c] = pk_.random_unit(prg);
+          if (level + 1 < depth) continue;
+          for (std::size_t c = 0; c < cells; ++c) {
+            cell[c] = bignum::mod_mul(cell[c], pk_.random_unit(prg), pk_.n());
           }
         }
       }
-      const std::vector<BigInt> sums = pk_.mul_scalar_sum_matrix(selectors[level], exps);
-      for (std::size_t cell = 0; cell < groups * chunks; ++cell) {
-        folded[cell / chunks][cell % chunks] =
-            pk_.add(pk_.encrypt_with_factor(BigInt(0), blinders[cell]), sums[cell]);
-      }
-    } else {
-      // Reference fold: per-row mul_scalar folded with add, cells fanned
-      // out across the pool. Kept for regression tests and the bench
-      // ablation; must stay byte-identical to the multi-exp kernel.
-      common::parallel_for(groups * chunks, [&](std::size_t cell) {
-        const std::size_t g = cell / chunks;
-        const std::size_t c = cell % chunks;
-        BigInt acc = pk_.encrypt_with_factor(BigInt(0), blinders[cell]);
-        for (std::size_t row = 0; row < dim; ++row) {
-          const std::size_t idx = g * dim + row;
-          if (idx >= items.size()) break;
-          if (items[idx][c].is_zero()) continue;  // exponent 0 contributes nothing
-          acc = pk_.add(acc, pk_.mul_scalar(selectors[level][row], items[idx][c]));
+      blinders = pk_.encryption_factors(units);
+    }
+
+    for (std::size_t level = 0; level < depth; ++level) {
+      obs::Span fold_span("cpir.fold");
+      fold_span.note("level=" + std::to_string(level));
+      const LevelShape& shape = shapes[level];
+      const std::size_t cells = shape.cells();
+      // One multi-exp per instance, all of the wave's in one call; window
+      // tables built for an instance's selectors serve all of its cells.
+      std::vector<bignum::MultiPowProblem> problems(size);
+      for (std::size_t i = 0; i < size; ++i) problems[i] = {selectors[i][level], &exps[i]};
+      const std::vector<std::vector<BigInt>> sums = pk_.mul_scalar_sum_matrices(problems);
+      for (std::size_t i = 0; i < size; ++i) {
+        const BigInt* blinder = blinders.data() + i * per_instance + level_offset[level];
+        std::vector<BigInt> folded(cells);
+        for (std::size_t cell = 0; cell < cells; ++cell) {
+          folded[cell] = pk_.add(pk_.encrypt_with_factor(BigInt(0), blinder[cell]), sums[i][cell]);
         }
-        folded[g][c] = std::move(acc);
-      });
-    }
-    if (last) {
-      // Final level: the cells are already rerandomized; emit them.
-      const std::vector<BigInt>& out = folded[0];
-      Writer w;
-      w.varint(out.size());
-      for (const BigInt& ct : out) {
-        w.raw(ct.to_bytes_be_padded(pk_.ciphertext_bytes()));
-      }
-      return w.take();
-    }
-    // Re-chunk the ciphertexts into plaintexts for the next level.
-    std::vector<std::vector<BigInt>> next(folded.size());
-    const std::size_t ct_bytes = pk_.ciphertext_bytes();
-    const std::size_t pieces = (ct_bytes + cb - 1) / cb;
-    for (std::size_t g = 0; g < folded.size(); ++g) {
-      next[g].reserve(folded[g].size() * pieces);
-      for (const BigInt& ct : folded[g]) {
-        const Bytes be = ct.to_bytes_be_padded(ct_bytes);
-        // Little-endian chunk order over big-endian bytes: chunk p covers
-        // bytes [ct_bytes - (p+1)*cb, ct_bytes - p*cb).
-        for (std::size_t p = 0; p < pieces; ++p) {
-          const std::size_t end = ct_bytes - p * cb;
-          const std::size_t begin = end > cb ? end - cb : 0;
-          next[g].push_back(BigInt::from_bytes_be(BytesView(be.data() + begin, end - begin)));
+        if (level + 1 == depth) {
+          // Final level: the cells are already rerandomized; emit them.
+          Writer w;
+          w.varint(folded.size());
+          for (const BigInt& ct : folded) w.raw(ct.to_bytes_be_padded(ct_bytes));
+          answers.push_back(w.take());
+          continue;
+        }
+        // Re-chunk the ciphertexts into plaintexts for the next level: the
+        // item of group g holds its cells' chunks in cell order.
+        exps[i] = level_matrix(level + 1);
+        for (std::size_t cell = 0; cell < cells; ++cell) {
+          const Bytes be = folded[cell].to_bytes_be_padded(ct_bytes);
+          const std::size_t g = cell / shape.chunks, c = cell % shape.chunks;
+          // Little-endian chunk order over big-endian bytes: chunk p covers
+          // bytes [ct_bytes - (p+1)*cb, ct_bytes - p*cb).
+          for (std::size_t p = 0; p < pieces; ++p) {
+            const std::size_t end = ct_bytes - p * cb;
+            const std::size_t begin = end > cb ? end - cb : 0;
+            place(exps[i], level + 1, g, c * pieces + p,
+                  BigInt::from_bytes_be(BytesView(be.data() + begin, end - begin)));
+          }
         }
       }
     }
-    items = std::move(next);
   }
-  throw InvalidArgument("PaillierPir: unreachable");
+  return answers;
+}
+
+std::vector<Bytes> PaillierPir::answer_u64_many(
+    std::span<const BytesView> queries,
+    const std::function<std::span<const std::uint64_t>(std::size_t)>& database,
+    crypto::Prg& prg) const {
+  return answer_chunks(queries, 1, 64, [&](std::size_t instance, const ChunkSink& put) {
+    const std::span<const std::uint64_t> db = database(instance);
+    if (db.size() != n_) throw InvalidArgument("PaillierPir: database size mismatch");
+    for (std::size_t i = 0; i < n_; ++i) put(i, 0, BigInt(db[i]));
+  }, prg);
+}
+
+std::vector<Bytes> PaillierPir::answer_bytes_many(
+    std::span<const BytesView> queries, std::size_t item_bytes,
+    const std::function<std::span<const Bytes>(std::size_t)>& database, crypto::Prg& prg) const {
+  const std::size_t cb = chunk_bytes();
+  const std::size_t pieces = (item_bytes + cb - 1) / cb;
+  return answer_chunks(queries, pieces, std::min(item_bytes, cb) * 8,
+                       [&](std::size_t instance, const ChunkSink& put) {
+    const std::span<const Bytes> db = database(instance);
+    if (db.size() != n_) throw InvalidArgument("PaillierPir: database size mismatch");
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (db[i].size() != item_bytes) throw InvalidArgument("PaillierPir: item size mismatch");
+      for (std::size_t p = 0; p < pieces; ++p) {
+        const std::size_t end = item_bytes - p * cb;
+        const std::size_t begin = end > cb ? end - cb : 0;
+        put(i, p, BigInt::from_bytes_be(BytesView(db[i].data() + begin, end - begin)));
+      }
+    }
+  }, prg);
 }
 
 Bytes PaillierPir::answer_u64(std::span<const std::uint64_t> database, BytesView query,
                               crypto::Prg& prg) const {
-  if (database.size() != n_) throw InvalidArgument("PaillierPir: database size mismatch");
-  std::vector<std::vector<BigInt>> items(n_);
-  for (std::size_t i = 0; i < n_; ++i) items[i] = {BigInt(database[i])};
-  return answer_chunks(std::move(items), query, prg);
+  return std::move(answer_u64_many({&query, 1}, [&](std::size_t) { return database; }, prg)[0]);
 }
 
 Bytes PaillierPir::answer_bytes(std::span<const Bytes> database, std::size_t item_bytes,
                                 BytesView query, crypto::Prg& prg) const {
-  if (database.size() != n_) throw InvalidArgument("PaillierPir: database size mismatch");
-  const std::size_t cb = chunk_bytes();
-  const std::size_t pieces = (item_bytes + cb - 1) / cb;
-  std::vector<std::vector<BigInt>> items(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (database[i].size() != item_bytes) {
-      throw InvalidArgument("PaillierPir: item size mismatch");
-    }
-    items[i].reserve(pieces);
-    for (std::size_t p = 0; p < pieces; ++p) {
-      const std::size_t end = item_bytes - p * cb;
-      const std::size_t begin = end > cb ? end - cb : 0;
-      items[i].push_back(
-          BigInt::from_bytes_be(BytesView(database[i].data() + begin, end - begin)));
-    }
-  }
-  return answer_chunks(std::move(items), query, prg);
+  return std::move(
+      answer_bytes_many({&query, 1}, item_bytes, [&](std::size_t) { return database; }, prg)[0]);
 }
 
-std::vector<BigInt> PaillierPir::decode_chunks(const he::PaillierPrivateKey& sk,
-                                               BytesView answer,
-                                               std::size_t level0_chunks) const {
+std::vector<std::vector<BigInt>> PaillierPir::decode_chunks(const he::PaillierPrivateKey& sk,
+                                                            std::span<const BytesView> answers,
+                                                            std::size_t level0_chunks) const {
   SPFE_OBS_SPAN("cpir.decode");
-  Reader r(answer);
-  const std::uint64_t count = r.varint_count(pk_.ciphertext_bytes());
-  std::vector<BigInt> cts;
-  cts.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    cts.push_back(BigInt::from_bytes_be(r.raw(pk_.ciphertext_bytes())));
-  }
-  r.expect_done();
-
   const std::size_t cb = chunk_bytes();
   const std::size_t ct_bytes = pk_.ciphertext_bytes();
   const std::size_t pieces = (ct_bytes + cb - 1) / cb;
+  std::size_t expected = level0_chunks;
+  for (std::size_t level = 1; level < dims_.size(); ++level) expected *= pieces;
+  std::vector<std::vector<BigInt>> cts(answers.size());
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    Reader r(answers[i]);
+    const std::uint64_t count = r.varint_count(ct_bytes);
+    if (count != expected) throw ProtocolError("PaillierPir: bad answer shape");
+    cts[i].reserve(count);
+    for (std::uint64_t c = 0; c < count; ++c) cts[i].push_back(pk_.parse_ciphertext(r));
+    r.expect_done();
+  }
 
+  // Decrypts every answer's current level in one batch.
+  const auto decrypt_level = [&] {
+    std::vector<BigInt> all;
+    for (std::vector<BigInt>& v : cts) {
+      for (BigInt& ct : v) all.push_back(std::move(ct));
+    }
+    const std::vector<BigInt> plain = sk.decrypt_all(all);
+    std::size_t next = 0;
+    for (std::vector<BigInt>& v : cts) {
+      for (BigInt& m : v) m = plain[next++];
+    }
+  };
   // Peel recursion levels: decrypt, reassemble chunk groups into inner
   // ciphertexts, repeat. After peeling depth-1 levels, `cts` holds the
   // level-0 ciphertexts whose plaintexts are the item chunks.
   for (std::size_t level = dims_.size(); level-- > 1;) {
-    const std::vector<BigInt> plain = sk.decrypt_all(cts);
-    if (plain.size() % pieces != 0) throw ProtocolError("PaillierPir: bad answer shape");
-    std::vector<BigInt> inner;
-    inner.reserve(plain.size() / pieces);
-    for (std::size_t g = 0; g < plain.size(); g += pieces) {
-      BigInt v;
-      for (std::size_t p = pieces; p-- > 0;) {
-        v = (v << (cb * 8)) + plain[g + p];
+    decrypt_level();
+    for (std::vector<BigInt>& v : cts) {
+      std::vector<BigInt> inner;
+      inner.reserve(v.size() / pieces);
+      for (std::size_t g = 0; g < v.size(); g += pieces) {
+        BigInt c;
+        for (std::size_t p = pieces; p-- > 0;) c = (c << (cb * 8)) + v[g + p];
+        if (c >= pk_.n_squared()) throw ProtocolError("PaillierPir: inner ciphertext out of range");
+        inner.push_back(std::move(c));
       }
-      inner.push_back(std::move(v));
+      v = std::move(inner);
     }
-    cts = std::move(inner);
   }
-  if (cts.size() != level0_chunks) throw ProtocolError("PaillierPir: bad chunk count");
-  return sk.decrypt_all(cts);
+  decrypt_level();
+  return cts;
+}
+
+std::vector<std::uint64_t> PaillierPir::decode_u64_many(const he::PaillierPrivateKey& sk,
+                                                        std::span<const BytesView> answers) const {
+  const std::vector<std::vector<BigInt>> chunks = decode_chunks(sk, answers, 1);
+  std::vector<std::uint64_t> out(chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) out[i] = chunks[i][0].to_u64();
+  return out;
+}
+
+std::vector<Bytes> PaillierPir::decode_bytes_many(const he::PaillierPrivateKey& sk,
+                                                  std::size_t item_bytes,
+                                                  std::span<const BytesView> answers) const {
+  const std::size_t cb = chunk_bytes();
+  const std::size_t pieces = (item_bytes + cb - 1) / cb;
+  const std::vector<std::vector<BigInt>> chunks = decode_chunks(sk, answers, pieces);
+  std::vector<Bytes> out(chunks.size(), Bytes(item_bytes, 0));
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    for (std::size_t p = 0; p < pieces; ++p) {
+      const std::size_t end = item_bytes - p * cb;
+      const std::size_t begin = end > cb ? end - cb : 0;
+      const Bytes be = chunks[i][p].to_bytes_be_padded(end - begin);
+      std::copy(be.begin(), be.end(), out[i].begin() + static_cast<std::ptrdiff_t>(begin));
+    }
+  }
+  return out;
 }
 
 std::uint64_t PaillierPir::decode_u64(const he::PaillierPrivateKey& sk, BytesView answer) const {
-  const std::vector<BigInt> chunks = decode_chunks(sk, answer, 1);
-  return chunks[0].to_u64();
+  return decode_u64_many(sk, {&answer, 1})[0];
 }
 
 Bytes PaillierPir::decode_bytes(const he::PaillierPrivateKey& sk, std::size_t item_bytes,
                                 BytesView answer) const {
-  const std::size_t cb = chunk_bytes();
-  const std::size_t pieces = (item_bytes + cb - 1) / cb;
-  const std::vector<BigInt> chunks = decode_chunks(sk, answer, pieces);
-  Bytes out(item_bytes, 0);
-  for (std::size_t p = 0; p < pieces; ++p) {
-    const std::size_t end = item_bytes - p * cb;
-    const std::size_t begin = end > cb ? end - cb : 0;
-    const Bytes be = chunks[p].to_bytes_be_padded(end - begin);
-    std::copy(be.begin(), be.end(), out.begin() + static_cast<std::ptrdiff_t>(begin));
-  }
-  return out;
+  return std::move(decode_bytes_many(sk, item_bytes, {&answer, 1})[0]);
 }
 
 }  // namespace spfe::pir

@@ -39,15 +39,6 @@ class PaillierPir {
   const std::vector<std::size_t>& dims() const { return dims_; }
   const he::PaillierPublicKey& public_key() const { return pk_; }
 
-  // Server fold kernel. kMultiExp (default) evaluates each recursion level
-  // as one simultaneous multi-exponentiation with shared window tables;
-  // kNaive folds per-row mul_scalar/add exactly like the original serial
-  // loop. Both consume the PRG identically and produce byte-identical
-  // answers — kNaive is kept as the regression/ablation baseline.
-  enum class FoldKernel { kMultiExp, kNaive };
-  void set_fold_kernel(FoldKernel k) { fold_kernel_ = k; }
-  FoldKernel fold_kernel() const { return fold_kernel_; }
-
   struct ClientState {
     std::vector<std::size_t> positions;  // per-dimension coordinate
   };
@@ -68,29 +59,89 @@ class PaillierPir {
   Bytes answer_bytes(std::span<const Bytes> database, std::size_t item_bytes, BytesView query,
                      crypto::Prg& prg) const;
 
-  // Client: recursive decryption.
+  // Server, many (database, query) instances in one call; the single
+  // answers above are its one-instance case. Instance i pairs queries[i]
+  // with database(i), whose span need only stay valid until the next call.
+  // Answer i, and every draw from `prg`, equal what answer_u64(database(i),
+  // queries[i], prg) for i = 0, 1, ... in turn would produce.
+  //
+  // Instances fold in waves of plan_wave(...).instances: a wave parses its
+  // selectors and builds its items when it starts, draws its randomness in
+  // the sequential order, computes all of its blinders in one
+  // encryption_factors call, and folds each recursion level of all its
+  // instances in one Paillier mul_scalar_sum_matrices call, whose Straus
+  // multi-exps share one lane pass on AVX-512 IFMA CPUs.
+  std::vector<Bytes> answer_u64_many(
+      std::span<const BytesView> queries,
+      const std::function<std::span<const std::uint64_t>(std::size_t)>& database,
+      crypto::Prg& prg) const;
+  std::vector<Bytes> answer_bytes_many(
+      std::span<const BytesView> queries, std::size_t item_bytes,
+      const std::function<std::span<const Bytes>(std::size_t)>& database,
+      crypto::Prg& prg) const;
+
+  // Client: recursive decryption. Answer ciphertexts must be < N^2
+  // (ProtocolError otherwise, like every malformed answer).
   std::uint64_t decode_u64(const he::PaillierPrivateKey& sk, BytesView answer) const;
   Bytes decode_bytes(const he::PaillierPrivateKey& sk, std::size_t item_bytes,
                      BytesView answer) const;
+  // Many answers in one call, equal to the single decodes above: each
+  // recursion level of every answer is peeled by one decrypt_all.
+  std::vector<std::uint64_t> decode_u64_many(const he::PaillierPrivateKey& sk,
+                                             std::span<const BytesView> answers) const;
+  std::vector<Bytes> decode_bytes_many(const he::PaillierPrivateKey& sk, std::size_t item_bytes,
+                                       std::span<const BytesView> answers) const;
+
+  // How a batched answer of `instances` instances with `level0_chunks`
+  // plaintext chunks per item is cut into waves (bignum::detail::
+  // plan_lane_wave over the recursion levels). The wave size is derived
+  // from the level shapes, the lane width and the pool's thread count: at
+  // most enough instances that the narrowest level fills a lane group per
+  // thread, the size with the least modelled lane cost per instance among
+  // those whose shared multi-exp tables fit bignum::detail::
+  // kLaneTableBudget at every level. One instance per wave keeps the
+  // single-instance plan. `table_bytes` is the wave's largest level table.
+  struct WavePlan {
+    std::size_t instances;
+    std::size_t table_bytes;
+  };
+  // Level-0 chunks have at most `level0_bits` bits.
+  WavePlan plan_wave(std::size_t instances, std::size_t level0_chunks,
+                     std::size_t level0_bits) const;
 
  private:
+  // items(i, put) hands instance i's items to the fold as level-0
+  // plaintext chunks (< N), calling put(item, chunk, value) for each.
+  using ChunkSink = std::function<void(std::size_t, std::size_t, bignum::BigInt)>;
+  using ItemSource = std::function<void(std::size_t, const ChunkSink&)>;
+
   // Shared query construction; `factors(count)` supplies the next `count`
   // encryption factors in stream order (from a Prg or a randomness pool).
   Bytes make_query_impl(
       std::size_t index, ClientState& state,
       const std::function<std::vector<bignum::BigInt>(std::size_t)>& factors) const;
-  // Core fold over a matrix of plaintext chunks per item.
-  Bytes answer_chunks(std::vector<std::vector<bignum::BigInt>> items, BytesView query,
-                      crypto::Prg& prg) const;
-  std::vector<bignum::BigInt> decode_chunks(const he::PaillierPrivateKey& sk, BytesView answer,
-                                            std::size_t level0_chunks) const;
+  // Core fold over a matrix of plaintext chunks per item, wave by wave.
+  std::vector<Bytes> answer_chunks(std::span<const BytesView> queries, std::size_t level0_chunks,
+                                   std::size_t level0_bits, const ItemSource& items,
+                                   crypto::Prg& prg) const;
+  // Level-0 plaintext chunks of every answer.
+  std::vector<std::vector<bignum::BigInt>> decode_chunks(const he::PaillierPrivateKey& sk,
+                                                         std::span<const BytesView> answers,
+                                                         std::size_t level0_chunks) const;
 
   std::size_t chunk_bytes() const;  // plaintext chunk size for recursion
+  // Chunks per item entering each recursion level, and the level's groups
+  // (items folded into one output item).
+  struct LevelShape {
+    std::size_t chunks;
+    std::size_t groups;
+    std::size_t cells() const { return groups * chunks; }  // the level's outputs
+  };
+  std::vector<LevelShape> level_shapes(std::size_t level0_chunks) const;
 
   he::PaillierPublicKey pk_;
   std::size_t n_;
   std::vector<std::size_t> dims_;
-  FoldKernel fold_kernel_ = FoldKernel::kMultiExp;
 };
 
 }  // namespace spfe::pir

@@ -133,10 +133,11 @@ SelectedShares input_selection_per_item(net::StarNetwork& net, std::size_t serve
   // Client: b_j = x_{i_j} - a_j.
   shares.client_shares.resize(m);
   Reader r(net.client_receive(server_id));
-  for (std::size_t j = 0; j < m; ++j) {
-    shares.client_shares[j] = spir.decode_u64(client_sk, r.bytes()) % modulus;
-  }
+  std::vector<BytesView> answers(m);
+  for (BytesView& a : answers) a = r.bytes_view();
   r.expect_done();
+  const std::vector<std::uint64_t> items = spir.decode_u64_many(client_sk, answers);
+  for (std::size_t j = 0; j < m; ++j) shares.client_shares[j] = items[j] % modulus;
   return shares;
 }
 
@@ -457,12 +458,16 @@ SelectedXorShares input_selection_encrypted_db_gm(
       }
       enc_db[i] = item.take();
     }
+    std::vector<BytesView> queries(m);
+    for (BytesView& q : queries) q = r.bytes_view();
+    r.expect_done();
     Writer w;
     gm_pk.serialize(w);
-    for (std::size_t j = 0; j < m; ++j) {
-      w.bytes(spir.answer_bytes(enc_db, item_bytes, r.bytes(), server_prg));
+    for (const Bytes& answer : spir.answer_bytes_many(queries, item_bytes, [&](std::size_t) {
+           return std::span<const Bytes>(enc_db);
+         }, server_prg)) {
+      w.bytes(answer);
     }
-    r.expect_done();
     net.server_send(server_id, w.take());
   }
 
@@ -476,10 +481,13 @@ SelectedXorShares input_selection_encrypted_db_gm(
     // GM blinding runs under the server's GM key — only a pool built for
     // that key serves (the caller learns pk2 from a prior run or key cache).
     he::GmRandomnessPool* gm_pool = gm_pool_for(precomp, pk2);
+    std::vector<BytesView> answers(m);
+    for (BytesView& a : answers) a = r.bytes_view();
+    r.expect_done();
+    const std::vector<Bytes> items = spir.decode_bytes_many(client_sk, item_bytes, answers);
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
-      const Bytes item = spir.decode_bytes(client_sk, item_bytes, r.bytes());
-      Reader ir(item);
+      Reader ir(items[j]);
       std::uint64_t r_j = 0;
       for (std::size_t b = 0; b < item_bits; ++b) {
         const BigInt ct = BigInt::from_bytes_be(ir.raw(pk2.ciphertext_bytes()));
@@ -495,7 +503,6 @@ SelectedXorShares input_selection_encrypted_db_gm(
       }
       shares.client_shares[j] = r_j;
     }
-    r.expect_done();
     net.client_send(server_id, w.take());
   }
 

@@ -1,5 +1,7 @@
 #include "spfe/psm_spfe.h"
 
+#include <functional>
+
 #include "common/error.h"
 #include "common/serialize.h"
 #include "obs/obs.h"
@@ -12,6 +14,23 @@ void check_indices(const std::vector<std::size_t>& indices, std::size_t m, std::
   for (const std::size_t i : indices) {
     if (i >= n) throw InvalidArgument("PSM SPFE: index out of range");
   }
+}
+
+// The server's m SPIR answers, one per PSM player, from one batched
+// PaillierPir call: the m queries are read off `r` (which must then be
+// done), and player j's virtual database is built when its wave starts.
+std::vector<Bytes> answer_players(const pir::PaillierPir& spir, Reader& r, std::size_t m,
+                                  std::size_t alpha,
+                                  const std::function<std::vector<Bytes>(std::size_t)>& player_db,
+                                  crypto::Prg& server_prg) {
+  std::vector<BytesView> queries(m);
+  for (BytesView& q : queries) q = r.bytes_view();
+  r.expect_done();
+  std::vector<Bytes> virtual_db;
+  return spir.answer_bytes_many(queries, alpha, [&](std::size_t j) {
+    virtual_db = player_db(j);
+    return std::span<const Bytes>(virtual_db);
+  }, server_prg);
 }
 
 }  // namespace
@@ -54,22 +73,20 @@ std::uint64_t PsmSumSpfeSingleServer::run(net::StarNetwork& net,
       return s;
     }();
     Writer w;
-    for (std::size_t j = 0; j < m_; ++j) {
-      const Bytes query = r.bytes();
-      const std::vector<Bytes> virtual_db = psm_.player_messages(j, database, psm_seed);
-      w.bytes(spir.answer_bytes(virtual_db, alpha, query, server_prg));
+    for (const Bytes& answer : answer_players(spir, r, m_, alpha, [&](std::size_t j) {
+           return psm_.player_messages(j, database, psm_seed);
+         }, server_prg)) {
+      w.bytes(answer);
     }
-    r.expect_done();
     w.bytes(psm_.referee_extra(psm_seed));
     net.server_send(0, w.take());
   }
 
   // Client: decode the m PSM messages and reconstruct.
   Reader r(net.client_receive(0));
-  std::vector<Bytes> messages(m_);
-  for (std::size_t j = 0; j < m_; ++j) {
-    messages[j] = spir.decode_bytes(sk, alpha, r.bytes());
-  }
+  std::vector<BytesView> answers(m_);
+  for (BytesView& a : answers) a = r.bytes_view();
+  const std::vector<Bytes> messages = spir.decode_bytes_many(sk, alpha, answers);
   const Bytes extra = r.bytes();
   r.expect_done();
   return psm_.reconstruct(messages, extra);
@@ -108,21 +125,19 @@ std::vector<bool> PsmYaoSpfeSingleServer::run(net::StarNetwork& net,
     const Bytes raw = server_prg.bytes(psm_seed.size());
     std::copy(raw.begin(), raw.end(), psm_seed.begin());
     Writer w;
-    for (std::size_t j = 0; j < m_; ++j) {
-      const Bytes query = r.bytes();
-      const std::vector<Bytes> virtual_db = psm_.player_messages(j, database, psm_seed);
-      w.bytes(spir.answer_bytes(virtual_db, alpha, query, server_prg));
+    for (const Bytes& answer : answer_players(spir, r, m_, alpha, [&](std::size_t j) {
+           return psm_.player_messages(j, database, psm_seed);
+         }, server_prg)) {
+      w.bytes(answer);
     }
-    r.expect_done();
     w.bytes(psm_.referee_extra(psm_seed));
     net.server_send(0, w.take());
   }
 
   Reader r(net.client_receive(0));
-  std::vector<Bytes> messages(m_);
-  for (std::size_t j = 0; j < m_; ++j) {
-    messages[j] = spir.decode_bytes(sk, alpha, r.bytes());
-  }
+  std::vector<BytesView> answers(m_);
+  for (BytesView& a : answers) a = r.bytes_view();
+  const std::vector<Bytes> messages = spir.decode_bytes_many(sk, alpha, answers);
   const Bytes extra = r.bytes();
   r.expect_done();
   return psm_.reconstruct(messages, extra);
@@ -240,21 +255,19 @@ bool PsmBpSpfeSingleServer::run(net::StarNetwork& net, std::span<const std::uint
     const Bytes raw = server_prg.bytes(psm_seed.size());
     std::copy(raw.begin(), raw.end(), psm_seed.begin());
     Writer w;
-    for (std::size_t j = 0; j < m; ++j) {
-      const Bytes query = r.bytes();
-      const std::vector<Bytes> virtual_db = psm_.player_messages(j, database, psm_seed);
-      w.bytes(spir.answer_bytes(virtual_db, alpha, query, server_prg));
+    for (const Bytes& answer : answer_players(spir, r, m, alpha, [&](std::size_t j) {
+           return psm_.player_messages(j, database, psm_seed);
+         }, server_prg)) {
+      w.bytes(answer);
     }
-    r.expect_done();
     w.bytes(psm_.referee_extra(psm_seed));
     net.server_send(0, w.take());
   }
 
   Reader r(net.client_receive(0));
-  std::vector<Bytes> messages(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    messages[j] = spir.decode_bytes(sk, alpha, r.bytes());
-  }
+  std::vector<BytesView> answers(m);
+  for (BytesView& a : answers) a = r.bytes_view();
+  const std::vector<Bytes> messages = spir.decode_bytes_many(sk, alpha, answers);
   const Bytes extra = r.bytes();
   r.expect_done();
   return psm_.reconstruct(messages, extra);

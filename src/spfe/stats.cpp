@@ -177,6 +177,7 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
                                             const he::PaillierPrivateKey& client_sk,
                                             crypto::Prg& client_prg, crypto::Prg& server_prg,
                                             const he::ClientPrecomp& precomp) const {
+  SPFE_OBS_SPAN("stats.mean_variance");
   const std::uint64_t p = field_.modulus();
   check_stat_inputs(database, indices, n_, m_, p);
   const he::PaillierPublicKey& pk = client_sk.public_key();

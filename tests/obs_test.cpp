@@ -6,8 +6,12 @@
 #include <cstdio>
 #include <string>
 
+#include "field/fp64.h"
+#include "he/paillier.h"
 #include "json_check.h"
+#include "net/network.h"
 #include "obs/obs.h"
+#include "spfe/stats.h"
 
 namespace spfe::obs {
 namespace {
@@ -256,6 +260,45 @@ TEST_F(ObsTest, ResetClearsSpansAndEpoch) {
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "after-reset");
   EXPECT_EQ(spans[0].parent, SpanRecord::kNoParent);
+}
+
+// The paper's motivating query is spanned top to bottom: a traced
+// MeanVariancePackage::run opens one root span, and every cpir.* span sits
+// under a batch_pir.* span inside it.
+TEST_F(ObsTest, MeanVarianceRunHasNoParentlessCpirSpans) {
+  crypto::Prg prg("obs-mean-variance");
+  const he::PaillierPrivateKey sk = he::paillier_keygen(prg, 512);
+  const field::Fp64 field(field::smallest_prime_above(1u << 20));
+  constexpr std::size_t kN = 64, kM = 4;
+  std::vector<std::uint64_t> db(kN);
+  for (std::size_t i = 0; i < kN; ++i) db[i] = 1000 + i;
+  const protocols::MeanVariancePackage proto(field, kN, kM, 2);
+  net::StarNetwork net(1);
+  crypto::Prg client_prg("obs-mv-client"), server_prg("obs-mv-server");
+  Tracer::global().set_enabled(true);
+  const protocols::MeanVarianceResult res =
+      proto.run(net, 0, db, {1, 9, 33, 60}, sk, client_prg, server_prg);
+  Tracer::global().set_enabled(false);
+  EXPECT_EQ(res.sum, 1001u + 1009 + 1033 + 1060);
+  const std::vector<SpanRecord> spans = Tracer::global().spans();
+  std::size_t roots = 0, cpir = 0;
+  for (const SpanRecord& s : spans) {
+    if (s.parent == SpanRecord::kNoParent) {
+      ++roots;
+      EXPECT_EQ(s.name, "stats.mean_variance");
+    }
+    if (s.name.rfind("cpir.", 0) != 0) continue;
+    ++cpir;
+    ASSERT_NE(s.parent, SpanRecord::kNoParent) << s.name;
+    // Walk up to the batch PIR span that owns it.
+    std::size_t up = s.parent;
+    while (up != SpanRecord::kNoParent && spans[up].name.rfind("batch_pir.", 0) != 0) {
+      up = spans[up].parent;
+    }
+    EXPECT_NE(up, SpanRecord::kNoParent) << s.name << " outside any batch_pir span";
+  }
+  EXPECT_EQ(roots, 1u);
+  EXPECT_GT(cpir, 0u);
 }
 
 }  // namespace

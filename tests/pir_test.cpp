@@ -11,6 +11,7 @@
 #include "pir/batch_pir.h"
 #include "pir/cpir.h"
 #include "pir/itpir.h"
+#include "pir_reference.h"
 
 namespace spfe::pir {
 namespace {
@@ -241,39 +242,35 @@ TEST_F(PaillierPirTest, ByteItemsRoundTrip) {
 
 TEST_F(PaillierPirTest, FoldKernelsByteIdenticalU64) {
   // The multi-exp fold is an evaluation-order change only: with identically
-  // seeded server PRGs both kernels must emit byte-identical answers.
+  // seeded server PRGs it must emit the per-row mul_scalar/add reference's
+  // bytes (tests/pir_reference.h).
   constexpr std::size_t kN = 50;
   const auto db = make_db(kN, 1u << 30);
   for (const std::size_t depth : {1u, 2u, 3u}) {
-    PaillierPir multi(sk_.public_key(), kN, depth);
-    PaillierPir naive(sk_.public_key(), kN, depth);
-    naive.set_fold_kernel(PaillierPir::FoldKernel::kNaive);
-    ASSERT_EQ(multi.fold_kernel(), PaillierPir::FoldKernel::kMultiExp);
+    const PaillierPir pir(sk_.public_key(), kN, depth);
     PaillierPir::ClientState state;
-    const Bytes q = multi.make_query(23, state, prg_);
+    const Bytes q = pir.make_query(23, state, prg_);
     crypto::Prg s1("fold-kernel-server"), s2("fold-kernel-server");
-    const Bytes a_multi = multi.answer_u64(db, q, s1);
-    const Bytes a_naive = naive.answer_u64(db, q, s2);
+    const Bytes a_multi = pir.answer_u64(db, q, s1);
+    const Bytes a_naive = reference::naive_answer_u64(pir, db, q, s2);
     EXPECT_EQ(a_multi, a_naive) << "depth=" << depth;
-    EXPECT_EQ(multi.decode_u64(sk_, a_multi), db[23]) << "depth=" << depth;
+    EXPECT_EQ(pir.decode_u64(sk_, a_multi), db[23]) << "depth=" << depth;
   }
 }
 
 TEST_F(PaillierPirTest, FoldKernelsByteIdenticalBytesMultiChunk) {
   constexpr std::size_t kN = 12, kItem = 70;  // multiple chunks per item
-  PaillierPir multi(sk_.public_key(), kN, 3);
-  PaillierPir naive(sk_.public_key(), kN, 3);
-  naive.set_fold_kernel(PaillierPir::FoldKernel::kNaive);
+  const PaillierPir pir(sk_.public_key(), kN, 3);
   std::vector<Bytes> db(kN);
   crypto::Prg data("bytedata-kernel");
   for (auto& item : db) item = data.bytes(kItem);
   PaillierPir::ClientState state;
-  const Bytes q = multi.make_query(5, state, prg_);
+  const Bytes q = pir.make_query(5, state, prg_);
   crypto::Prg s1("fold-kernel-bytes"), s2("fold-kernel-bytes");
-  const Bytes a_multi = multi.answer_bytes(db, kItem, q, s1);
-  const Bytes a_naive = naive.answer_bytes(db, kItem, q, s2);
+  const Bytes a_multi = pir.answer_bytes(db, kItem, q, s1);
+  const Bytes a_naive = reference::naive_answer_bytes(pir, db, kItem, q, s2);
   EXPECT_EQ(a_multi, a_naive);
-  EXPECT_EQ(multi.decode_bytes(sk_, kItem, a_multi), db[5]);
+  EXPECT_EQ(pir.decode_bytes(sk_, kItem, a_multi), db[5]);
 }
 
 TEST_F(PaillierPirTest, DepthTwoCommunicationBeatsDepthOne) {
@@ -317,6 +314,41 @@ TEST_F(PaillierPirTest, RejectsOutOfRangeSelector) {
   const Bytes n2 = sk_.public_key().n_squared().to_bytes_be_padded(ct_bytes);
   std::copy(n2.begin(), n2.end(), query.begin() + static_cast<std::ptrdiff_t>(5 * ct_bytes));
   EXPECT_THROW(pir.answer_u64(db, query, prg_), ProtocolError);
+}
+
+TEST_F(PaillierPirTest, DecodeRejectsOutOfRangeAnswerCiphertexts) {
+  // An answer ciphertext >= N^2 (all-0xff bytes) is a malformed answer: the
+  // client rejects it with ProtocolError before decrypting anything, as it
+  // does an inner ciphertext reassembled to >= N^2 and a wrong count.
+  const he::PaillierPublicKey& pk = sk_.public_key();
+  const std::size_t ct_bytes = pk.ciphertext_bytes();
+  constexpr std::size_t kN = 9;
+  const auto db = make_db(kN, 1000);
+  for (const std::size_t depth : {1u, 2u}) {
+    const PaillierPir pir(pk, kN, depth);
+    PaillierPir::ClientState state;
+    const Bytes answer = pir.answer_u64(db, pir.make_query(4, state, prg_), prg_);
+    ASSERT_EQ(pir.decode_u64(sk_, answer), db[4]);
+    Bytes all_ff = answer;
+    std::fill(all_ff.begin() + 1, all_ff.end(), 0xff);  // keep the one-byte count
+    EXPECT_THROW(pir.decode_u64(sk_, all_ff), ProtocolError) << depth;
+    Writer extra;
+    extra.varint(answer[0] + 1u);
+    extra.raw(BytesView(answer).subspan(1));
+    extra.raw(Bytes(ct_bytes, 0));
+    EXPECT_THROW(pir.decode_u64(sk_, extra.data()), ProtocolError) << depth;
+  }
+  // Depth 2: valid outer ciphertexts whose chunks reassemble to all-0xff.
+  const PaillierPir pir(pk, kN, 2);
+  const std::size_t cb = (pk.modulus_bits() - 16) / 8;
+  const std::size_t pieces = (ct_bytes + cb - 1) / cb;
+  const Bytes inner(ct_bytes, 0xff);
+  Writer w;
+  w.varint(pieces);
+  for (const BigInt& chunk : reference::pir_chunks(inner, pieces, cb)) {
+    w.raw(pk.encrypt(chunk, prg_).to_bytes_be_padded(ct_bytes));
+  }
+  EXPECT_THROW(pir.decode_u64(sk_, w.data()), ProtocolError);
 }
 
 TEST_F(PaillierPirTest, ValidatesGeometry) {
@@ -386,6 +418,33 @@ TEST_F(CuckooBatchPirTest, ByteItemsRoundTrip) {
   const auto got = pir.decode_bytes(sk_, kItem, a, state);
   ASSERT_EQ(got.size(), kM);
   for (std::size_t j = 0; j < kM; ++j) EXPECT_EQ(got[j], db[indices[j]]) << j;
+}
+
+TEST_F(CuckooBatchPirTest, DecodeRejectsOutOfRangeAnswerCiphertexts) {
+  // Every bucket answer's ciphertexts replaced by all-0xff bytes: typed
+  // rejection on the client, for u64 and byte items.
+  constexpr std::size_t kN = 60, kM = 3, kItem = 70;
+  const CuckooBatchPir pir(sk_.public_key(), kN, kM, 1);
+  const std::vector<std::size_t> indices = {1, 30, 59};
+  const std::size_t ct_bytes = sk_.public_key().ciphertext_bytes();
+  const std::size_t cb = (sk_.public_key().modulus_bits() - 16) / 8;
+  const auto all_ff_answer = [&](std::size_t per_bucket) {
+    Writer w;
+    for (std::size_t b = 0; b < pir.num_buckets(); ++b) {
+      Writer bucket;
+      bucket.varint(per_bucket);
+      bucket.raw(Bytes(per_bucket * ct_bytes, 0xff));
+      w.bytes(bucket.data());
+    }
+    return w.take();
+  };
+  CuckooBatchPir::ClientState state;
+  const auto db = make_db(kN, 1u << 20);
+  const Bytes q = pir.make_query(indices, state, prg_);
+  ASSERT_EQ(pir.decode_u64(sk_, pir.answer_u64(db, q, prg_), state)[1], db[30]);
+  EXPECT_THROW(pir.decode_u64(sk_, all_ff_answer(1), state), ProtocolError);
+  EXPECT_THROW(pir.decode_bytes(sk_, kItem, all_ff_answer((kItem + cb - 1) / cb), state),
+               ProtocolError);
 }
 
 TEST_F(CuckooBatchPirTest, Validation) {
