@@ -24,6 +24,7 @@
 #include "mpc/yao.h"
 #include "ot/base_ot.h"
 #include "ot/ot_extension.h"
+#include "paillier_reference.h"
 #include "pir/itpir.h"
 #include "sharing/shamir.h"
 
@@ -262,15 +263,18 @@ class PaillierFixture : public benchmark::Fixture {
     if (!sk_ || sk_bits_ != static_cast<std::size_t>(state.range(0))) {
       sk_bits_ = static_cast<std::size_t>(state.range(0));
       crypto::Prg prg("bm-paillier-" + std::to_string(sk_bits_));
-      sk_.emplace(he::paillier_keygen(prg, sk_bits_));
+      primes_ = reference::paillier_primes(prg, sk_bits_);  // paillier_keygen's key
+      sk_.emplace(primes_.p, primes_.q);
     }
   }
 
  protected:
   static std::optional<he::PaillierPrivateKey> sk_;
+  static reference::PaillierPrimes primes_;
   static std::size_t sk_bits_;
 };
 std::optional<he::PaillierPrivateKey> PaillierFixture::sk_;
+reference::PaillierPrimes PaillierFixture::primes_;
 std::size_t PaillierFixture::sk_bits_ = 0;
 
 BENCHMARK_DEFINE_F(PaillierFixture, Encrypt)(benchmark::State& state) {
@@ -294,19 +298,11 @@ BENCHMARK_DEFINE_F(PaillierFixture, DecryptReference)(benchmark::State& state) {
   // beat this by ~4x at every modulus size.
   crypto::Prg prg("dec-ref");
   const BigInt c = sk_->public_key().encrypt(BigInt(123456), prg);
-  for (auto _ : state) benchmark::DoNotOptimize(sk_->decrypt_reference(c));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reference::paillier_decrypt_reference(primes_.p, primes_.q, c));
+  }
 }
 BENCHMARK_REGISTER_F(PaillierFixture, DecryptReference)->Arg(512)->Arg(1024)->Arg(2048);
-
-BENCHMARK_DEFINE_F(PaillierFixture, DecryptAllBatch)(benchmark::State& state) {
-  // Batch decryption across the global thread pool (SPFE_THREADS).
-  crypto::Prg prg("dec-all");
-  std::vector<BigInt> cts;
-  for (int i = 0; i < 64; ++i) cts.push_back(sk_->public_key().encrypt(BigInt(i), prg));
-  for (auto _ : state) benchmark::DoNotOptimize(sk_->decrypt_all(cts));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK_REGISTER_F(PaillierFixture, DecryptAllBatch)->Arg(512)->Arg(1024);
 
 BENCHMARK_DEFINE_F(PaillierFixture, ScalarMulSmall)(benchmark::State& state) {
   // The cPIR server kernel: exponent = small data value.

@@ -2,7 +2,9 @@
 
 #include <array>
 
+#include "bignum/ifma.h"
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/secret.h"
 #include "obs/obs.h"
 
@@ -355,6 +357,40 @@ BigInt MontgomeryContext::pow_uncounted(const BigInt& base, const BigInt& /*secr
   }
   // SPFE_CT_END
   return from_mont(acc);
+}
+
+// The batched pows run eight bases at a time on the AVX-512 IFMA lanes
+// (ifma.h) when CPUID reports them; elsewhere they loop the portable pow,
+// which stays the reference for every result.
+const char* MontgomeryContext::pow_batch_kernel() {
+  return ifma::cpu_has_ifma() ? "avx512ifma" : "portable";
+}
+
+std::vector<BigInt> MontgomeryContext::pow_batch(std::span<const BigInt> bases,
+                                                 const BigInt& public_exp) const {
+  if (public_exp.is_negative()) {
+    throw InvalidArgument("MontgomeryContext::pow_batch: negative exponent");
+  }
+  obs::count(obs::Op::kModExp, bases.size());
+  if (ifma::lanes_fit(modulus_) && !public_exp.is_zero()) {
+    return ifma::pow_public(modulus_, bases, public_exp);
+  }
+  std::vector<BigInt> out(bases.size());
+  common::parallel_for(bases.size(),
+                       [&](std::size_t i) { out[i] = pow_uncounted(bases[i], public_exp); });
+  return out;
+}
+
+std::vector<BigInt> MontgomeryContext::pow_batch_secret(std::span<const BigInt> bases,
+                                                        const BigInt& /*secret*/ exp) const {
+  if (exp.is_negative()) {
+    throw InvalidArgument("MontgomeryContext::pow_batch_secret: negative exponent");
+  }
+  obs::count(obs::Op::kModExp, bases.size());
+  if (ifma::lanes_fit(modulus_) && !exp.is_zero()) return ifma::pow_secret(modulus_, bases, exp);
+  std::vector<BigInt> out(bases.size());
+  common::parallel_for(bases.size(), [&](std::size_t i) { out[i] = pow_uncounted(bases[i], exp); });
+  return out;
 }
 
 }  // namespace spfe::bignum

@@ -12,6 +12,8 @@
 namespace spfe::bignum {
 namespace {
 
+using ifma::digit_at;
+using ifma::kLanes;
 using u64 = std::uint64_t;
 using MontVec = std::vector<u64>;
 
@@ -19,26 +21,6 @@ using MontVec = std::vector<u64>;
 // computes each cross product once and reduces in a separate pass.
 constexpr double kSqrCost = 0.7;
 
-// w-bit digit of e at comb/window position `window_index` (LSB digit = 0).
-// Bits are gathered arithmetically from the limb array — no per-bit branch
-// on the exponent value. (The zero-digit skips in the evaluation strategies
-// below deliberately remain: multi-exp exponents are server-side public
-// data — PIR database chunks, protocol weights. Secret exponents must go
-// through MontgomeryContext::pow; see DESIGN.md "Constant-time policy".)
-// SPFE_CT_BEGIN(multiexp_digit_at)
-unsigned digit_at(const BigInt& /*secret*/ e, std::size_t window_index, unsigned w) {
-  const std::vector<u64>& limbs = e.limbs();
-  u64 d = 0;
-  const std::size_t base_bit = window_index * w;
-  for (unsigned b = 0; b < w; ++b) {
-    const std::size_t bit_index = base_bit + b;
-    const std::size_t limb = bit_index / 64;  // public window position
-    const u64 v = limb < limbs.size() ? limbs[limb] : 0;  // public shape test
-    d |= ((v >> (bit_index % 64)) & 1) << b;
-  }
-  return static_cast<unsigned>(d);
-}
-// SPFE_CT_END
 
 // Window table for one base: table[d - 1] = base^d for d in [1, 2^w).
 // Even entries come from mont_sqr, odd ones from one mont_mul.
@@ -139,216 +121,10 @@ void combine_partials(const MontgomeryContext& ctx, std::vector<MontVec>& partia
   });
 }
 
-// ---- 8-lane Straus on AVX-512 IFMA ------------------------------------------
-//
-// A lane runs one job: the Straus product of one column of one problem over
-// a range of that problem's used bases, with its own squaring chain
-// (straus_column's partitions, one per lane). Eight jobs run side by side
-// through ct_ifma_mont_mul, the kernel pow_batch uses. The used bases of
-// every problem in the pass sit in one table, so a lane group may mix
-// problems. Each multiply's operand is gathered per lane from the window
-// tables, whose entry 0 is Montgomery one, so a zero digit or a lane whose
-// range has run out multiplies by one instead of branching. Windows,
-// digits and table indices depend on the exponents only, which are public
-// here (see digit_at).
-
-using ifma::kLanes;
-using ifma::Vec;
-
-// Per-pass state, read-only while the lane groups run (apart from each
-// group's own slice of `table` or `partials`). Used base u of the pass is
-// bases[u] with exponent row *exp_rows[u]; problem p's used bases are a
-// contiguous run of u.
-struct LaneStraus {
-  LaneStraus(const BigInt& m, const ifma::IfmaPlan& p) : modulus(m), plan(p) {}
-  const BigInt& modulus;
-  const ifma::IfmaPlan& plan;
-  std::vector<const BigInt*> bases;
-  std::vector<const std::vector<BigInt>*> exp_rows;
-  struct Job {
-    std::size_t column;
-    std::size_t u0;  // first used base of the range
-    std::size_t length;
-  };
-  // Job cc * parts + p: partition p of pass column cc.
-  std::vector<Job> jobs;
-  std::vector<BigInt*> outs;  // pass column cc -> its result
-  unsigned w = 1;
-  std::size_t parts = 1;
-  std::size_t windows = 0;
-  // Entry d of used base u: base^d (Montgomery form) at words ((u << w) + d) * k.
-  std::vector<u64> table;
-  // Job j: its partial product (Montgomery form) at words j * k.
-  std::vector<u64> partials;
-};
-
-// Room for `vectors` lane vectors, 64-byte aligned; per thread and reused.
-Vec* lane_scratch(std::size_t vectors) {
-  thread_local std::vector<u64> buffer;
-  return reinterpret_cast<Vec*>(ifma::aligned_words(buffer, vectors * kLanes));
-}
-
-// dst[j] = words[offset[lane] + j] in every lane, for j < k. (The masked
-// gather with a zero source: GCC 12's plain one trips -Wmaybe-uninitialized
-// inside its own header.)
-SPFE_IFMA_TARGET void gather_rows(Vec* dst, const u64* words, const u64* offset, std::size_t k) {
-  const Vec first = _mm512_loadu_si512(offset);
-  for (std::size_t j = 0; j < k; ++j) {
-    const Vec index = _mm512_add_epi64(first, _mm512_set1_epi64(static_cast<long long>(j)));
-    dst[j] = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, index, words, 8);
-  }
-}
-
-// Window tables of used bases [8g, 8g + 8), one base per lane: entry 0 is
-// Montgomery one and entry d is entry d - 1 times the base.
-void build_lane_tables(LaneStraus& ls, std::size_t g) {
-  const ifma::IfmaPlan& plan = ls.plan;
-  const std::size_t k = plan.k;
-  Vec* base = lane_scratch(4 * k + 1);
-  Vec* entry = base + k;
-  Vec* t = entry + k;
-  u64* base_words = reinterpret_cast<u64*>(base);
-  const u64* entry_words = reinterpret_cast<const u64*>(entry);
-  const auto* r2 = reinterpret_cast<const Vec*>(plan.r2);
-  std::fill(base_words, base_words + k * kLanes, 0);
-  const std::size_t first = g * kLanes;
-  const std::size_t lanes = std::min(kLanes, ls.bases.size() - first);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    ifma::to_digits(ls.bases[first + l]->mod_floor(ls.modulus), k, base_words + l, kLanes);
-  }
-  ifma::ct_ifma_mont_mul(base, base, r2, plan, t);
-  ifma::ct_ifma_mont_mul(entry, reinterpret_cast<const Vec*>(plan.one), r2, plan, t);
-  for (std::size_t d = 0; d < (std::size_t(1) << ls.w); ++d) {
-    if (d > 0) ifma::ct_ifma_mont_mul(entry, entry, base, plan, t);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      u64* row = ls.table.data() + (((first + l) << ls.w) + d) * k;
-      for (std::size_t j = 0; j < k; ++j) row[j] = entry_words[j * kLanes + l];
-    }
-  }
-}
-
-// Straus jobs [8g, 8g + 8), one per lane. Missing lanes gather offset 0,
-// entry 0 of the first used base, which is one.
-void straus_lanes(LaneStraus& ls, std::size_t g) {
-  const ifma::IfmaPlan& plan = ls.plan;
-  const std::size_t k = plan.k;
-  Vec* acc = lane_scratch(4 * k + 1);
-  Vec* operand = acc + k;
-  Vec* t = operand + k;
-  const std::size_t first = g * kLanes;
-  const std::size_t lanes = std::min(kLanes, ls.jobs.size() - first);
-  std::size_t longest = 0;
-  for (std::size_t l = 0; l < lanes; ++l) longest = std::max(longest, ls.jobs[first + l].length);
-  alignas(64) u64 offset[kLanes] = {};
-  gather_rows(acc, ls.table.data(), offset, k);
-  bool started = false;  // acc is still one: its squarings can be skipped
-  for (std::size_t j = ls.windows; j-- > 0;) {
-    if (started) {
-      for (unsigned s = 0; s < ls.w; ++s) ifma::ct_ifma_mont_mul(acc, acc, acc, plan, t);
-    }
-    for (std::size_t s = 0; s < longest; ++s) {
-      bool any = false;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        offset[l] = 0;
-        if (l >= lanes || s >= ls.jobs[first + l].length) continue;
-        const LaneStraus::Job& job = ls.jobs[first + l];
-        const std::size_t u = job.u0 + s;
-        const unsigned d = digit_at((*ls.exp_rows[u])[job.column], j, ls.w);
-        offset[l] = ((u << ls.w) + d) * k;
-        any = any || d != 0;
-      }
-      if (!any) continue;  // every lane would multiply by one
-      gather_rows(operand, ls.table.data(), offset, k);
-      ifma::ct_ifma_mont_mul(acc, acc, operand, plan, t);
-      started = true;
-    }
-  }
-  const u64* acc_words = reinterpret_cast<const u64*>(acc);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    u64* row = ls.partials.data() + (first + l) * k;
-    for (std::size_t j = 0; j < k; ++j) row[j] = acc_words[j * kLanes + l];
-  }
-}
-
-// Pass columns [8g, 8g + 8), one per lane: the product of the column's
-// partials in ascending partition order, out of Montgomery form.
-void combine_lanes(const LaneStraus& ls, std::size_t g) {
-  const ifma::IfmaPlan& plan = ls.plan;
-  const std::size_t k = plan.k;
-  Vec* acc = lane_scratch(4 * k + 1);
-  Vec* operand = acc + k;
-  Vec* t = operand + k;
-  const std::size_t first = g * kLanes;
-  const std::size_t lanes = std::min(kLanes, ls.outs.size() - first);
-  alignas(64) u64 offset[kLanes] = {};
-  for (std::size_t p = 0; p < ls.parts; ++p) {
-    for (std::size_t l = 0; l < lanes; ++l) offset[l] = ((first + l) * ls.parts + p) * k;
-    gather_rows(p == 0 ? acc : operand, ls.partials.data(), offset, k);
-    if (p > 0) ifma::ct_ifma_mont_mul(acc, acc, operand, plan, t);
-  }
-  ifma::ct_ifma_mont_mul(acc, acc, reinterpret_cast<const Vec*>(plan.one), plan, t);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    *ls.outs[first + l] = ifma::from_digits(reinterpret_cast<const u64*>(acc) + l, kLanes, k);
-  }
-}
-
-// A validated problem: which bases are used (nonzero exponent row) and the
-// widest exponent.
-struct ProblemShape {
-  std::vector<char> used;
-  std::size_t columns = 0;
-  std::size_t max_bits = 0;
-};
-
-// One lane pass over Straus-planned problems (indices `lane` into
-// `problems`), writing out[p].
-void lane_multi_pow(const MontgomeryContext& ctx, std::span<const MultiPowProblem> problems,
-                    const std::vector<ProblemShape>& shapes, const std::vector<std::size_t>& lane,
-                    std::vector<std::vector<BigInt>>& out) {
-  const ifma::IfmaPlan plan(ctx.modulus());
-  LaneStraus ls(ctx.modulus(), plan);
-  std::size_t count = 0, columns = 0, max_bits = 0;
-  for (const std::size_t p : lane) {
-    std::size_t used = 0;
-    for (const char u : shapes[p].used) used += u != 0;
-    count = std::max(count, used);
-    columns = std::max(columns, shapes[p].columns);
-    max_bits = std::max(max_bits, shapes[p].max_bits);
-  }
-  const detail::LaneStrausPlan lane_plan =
-      detail::plan_lane_straus(count, columns, max_bits, common::ThreadPool::global().thread_count(),
-                               lane.size(), ctx.modulus().bit_length());
-  ls.w = lane_plan.window;
-  ls.parts = lane_plan.partitions;
-  ls.windows = (max_bits + ls.w - 1) / ls.w;
-  for (const std::size_t p : lane) {
-    const std::size_t u_first = ls.bases.size();
-    for (std::size_t i = 0; i < shapes[p].used.size(); ++i) {
-      if (!shapes[p].used[i]) continue;
-      ls.bases.push_back(&problems[p].bases[i]);
-      ls.exp_rows.push_back(&(*problems[p].exps)[i]);
-    }
-    const std::size_t used = ls.bases.size() - u_first;
-    for (std::size_t c = 0; c < shapes[p].columns; ++c) {
-      ls.outs.push_back(&out[p][c]);
-      for (std::size_t part = 0; part < ls.parts; ++part) {
-        const std::size_t u0 = part * used / ls.parts;
-        ls.jobs.push_back({c, u_first + u0, (part + 1) * used / ls.parts - u0});
-      }
-    }
-  }
-  const auto groups = [](std::size_t n) { return (n + kLanes - 1) / kLanes; };
-  ls.table.resize((ls.bases.size() << ls.w) * plan.k);
-  common::parallel_for(groups(ls.bases.size()), [&](std::size_t g) { build_lane_tables(ls, g); });
-  ls.partials.resize(ls.jobs.size() * plan.k);
-  common::parallel_for(groups(ls.jobs.size()), [&](std::size_t g) { straus_lanes(ls, g); });
-  common::parallel_for(groups(ls.outs.size()), [&](std::size_t g) { combine_lanes(ls, g); });
-}
-
 // The scalar strategies for one problem (the reference, and the path of
 // every problem the lane pass does not take).
 void scalar_multi_pow(const MontgomeryContext& ctx, std::span<const BigInt> bases,
-                      const std::vector<std::vector<BigInt>>& exps, const ProblemShape& shape,
+                      const std::vector<std::vector<BigInt>>& exps, const ifma::ProblemShape& shape,
                       const detail::MultiExpPlan& plan, std::vector<BigInt>& out) {
   const std::size_t count = bases.size();
   const std::size_t columns = shape.columns;
@@ -532,12 +308,12 @@ unsigned plan_fixed_base_window(std::size_t max_bits) {
 
 std::vector<std::vector<BigInt>> multi_pow_matrices(const MontgomeryContext& ctx,
                                                     std::span<const MultiPowProblem> problems) {
-  std::vector<ProblemShape> shapes(problems.size());
+  std::vector<ifma::ProblemShape> shapes(problems.size());
   std::vector<std::vector<BigInt>> out(problems.size());
   for (std::size_t p = 0; p < problems.size(); ++p) {
     const std::span<const BigInt> bases = problems[p].bases;
     const std::vector<std::vector<BigInt>>& exps = *problems[p].exps;
-    ProblemShape& shape = shapes[p];
+    ifma::ProblemShape& shape = shapes[p];
     if (exps.size() != bases.size()) throw InvalidArgument("multi_pow_matrix: row count mismatch");
     shape.columns = bases.empty() ? 0 : exps[0].size();
     shape.used.assign(bases.size(), 0);
@@ -555,11 +331,10 @@ std::vector<std::vector<BigInt>> multi_pow_matrices(const MontgomeryContext& ctx
     out[p].assign(shape.columns, BigInt(1).mod_floor(ctx.modulus()));
   }
 
-  const bool lanes = ifma::cpu_has_ifma() &&
-                     ifma::digits_for(ctx.modulus().bit_length()) <= ifma::kMaxDigits;
+  const bool lanes = ifma::lanes_fit(ctx.modulus());
   std::vector<std::size_t> lane;  // Straus-planned problems for the lane pass
   for (std::size_t p = 0; p < problems.size(); ++p) {
-    const ProblemShape& shape = shapes[p];
+    const ifma::ProblemShape& shape = shapes[p];
     if (problems[p].bases.empty() || shape.columns == 0 || shape.max_bits == 0) continue;
     const detail::MultiExpPlan plan =
         detail::plan_multi_exp(problems[p].bases.size(), shape.columns, shape.max_bits);
@@ -572,7 +347,7 @@ std::vector<std::vector<BigInt>> multi_pow_matrices(const MontgomeryContext& ctx
       scalar_multi_pow(ctx, problems[p].bases, *problems[p].exps, shape, plan, out[p]);
     }
   }
-  if (!lane.empty()) lane_multi_pow(ctx, problems, shapes, lane, out);
+  if (!lane.empty()) ifma::straus_pass(ctx.modulus(), problems, shapes, lane, out);
   return out;
 }
 

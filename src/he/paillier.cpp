@@ -194,10 +194,6 @@ PaillierPrivateKey::PaillierPrivateKey(BigInt p, BigInt q)
       mont_q2_(q2_),
       ep_(p_ - BigInt(1)),
       eq_(q_ - BigInt(1)) {
-  lambda_ = (ep_ * eq_) / bignum::gcd(ep_, eq_);  // lcm(p-1, q-1)
-  // mu = (L(g^lambda mod N^2))^{-1} mod N; with g = N+1,
-  // g^lambda = 1 + lambda*N mod N^2, so L(g^lambda) = lambda mod N.
-  mu_ = bignum::mod_inverse(lambda_, pk_.n());
   // CRT precomputation. For c = g^m r^N in Z_{N^2}^*, working mod p^2:
   // c^{p-1} = (1+N)^{m(p-1)} * (r^{p(p-1)})^q = 1 + m(p-1)N mod p^2, so
   // L_p(c^{p-1} mod p^2) = m * (p-1) * q mod p and multiplying by
@@ -242,18 +238,6 @@ BigInt PaillierPrivateKey::crt_finish(const BigInt& up, const BigInt& uq) const 
   const BigInt mp = bignum::mod_mul((up - BigInt(1)) / p_, hp_, p_);
   const BigInt mq = bignum::mod_mul((uq - BigInt(1)) / q_, hq_, q_);
   return bignum::crt_combine(mp, p_, mq, q_, pinv_q_);
-}
-
-BigInt PaillierPrivateKey::decrypt_reference(const BigInt& c) const {
-  obs::count(obs::Op::kPaillierDecrypt);
-  check_ciphertext(c);
-  if (!bignum::gcd(c, pk_.n()).is_one()) {
-    throw CryptoError("Paillier decrypt: invalid ciphertext");
-  }
-  const BigInt& n = pk_.n();
-  const BigInt u = bignum::mod_pow(c, lambda_, pk_.n_squared());
-  const BigInt l = (u - BigInt(1)) / n;  // L function
-  return bignum::mod_mul(l, mu_, n);
 }
 
 std::vector<BigInt> PaillierPrivateKey::decrypt_all(std::span<const BigInt> cts) const {

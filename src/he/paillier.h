@@ -13,8 +13,8 @@
 // p and q, m mod p = L_p(c^{p-1} mod p^2) * h_p mod p (h_p precomputed, and
 // symmetrically mod q), recombined with bignum::crt_combine — two half-size
 // modexps with half-size exponents, ~4x cheaper than the direct
-// L(c^lambda mod N^2) * mu mod N path, which is kept as
-// `decrypt_reference` for equivalence tests and the ablation benchmark.
+// L(c^lambda mod N^2) * mu mod N path, which lives outside the library as
+// the test and bench reference (tests/paillier_reference.h).
 #pragma once
 
 #include <cstddef>
@@ -133,9 +133,6 @@ class PaillierPrivateKey {
 
   // CRT decryption (see the file comment); the default fast path.
   bignum::BigInt decrypt(const bignum::BigInt& c) const;
-  // Reference CRT-free decryption L(c^lambda mod N^2) * mu mod N. Same
-  // output as `decrypt` for every c in Z_{N^2}^*; ~4x slower.
-  bignum::BigInt decrypt_reference(const bignum::BigInt& c) const;
   // Batch decryption; element i of the result is decrypt(cts[i]), and an
   // invalid element throws what decrypt would (the first one in order).
   // The CRT exponentiations c^(p-1) mod p^2 and c^(q-1) mod q^2 of the
@@ -156,8 +153,6 @@ class PaillierPrivateKey {
   bignum::BigInt crt_finish(const bignum::BigInt& up, const bignum::BigInt& uq) const;
 
   PaillierPublicKey pk_;
-  bignum::BigInt lambda_;  // lcm(p-1, q-1)
-  bignum::BigInt mu_;      // lambda^{-1} mod N
   bignum::BigInt p_;
   bignum::BigInt q_;
   bignum::BigInt p2_;  // p^2

@@ -63,10 +63,6 @@ void write_ct(Writer& w, const he::PaillierPublicKey& pk, const BigInt& ct) {
   w.raw(ct.to_bytes_be_padded(pk.ciphertext_bytes()));
 }
 
-BigInt read_ct(Reader& r, const he::PaillierPublicKey& pk) {
-  return BigInt::from_bytes_be(r.raw(pk.ciphertext_bytes()));
-}
-
 // The pool usable for encrypting under `pk`, or null (meaning: draw from
 // the online PRG). A pool keyed differently — e.g. a client-key pool at a
 // site that encrypts under the server's deserialized key — never serves.
@@ -222,7 +218,8 @@ SelectedShares input_selection_poly_mask_client_key(
   const std::vector<std::uint64_t> masked_items =
       spir.decode_u64(client_sk, r.bytes(), pir_state);
   for (std::size_t j = 0; j < m; ++j) {
-    const std::uint64_t d_j = client_sk.decrypt(read_ct(r, pk)).mod_floor(BigInt(p)).to_u64();
+    const std::uint64_t d_j =
+        client_sk.decrypt(pk.parse_ciphertext(r)).mod_floor(BigInt(p)).to_u64();
     shares.client_shares[j] = sub_mod(masked_items[j], d_j, p);
   }
   r.expect_done();
@@ -264,7 +261,7 @@ SelectedShares input_selection_poly_mask_server_key(
     Reader r(net.client_receive(server_id));
     const he::PaillierPublicKey pk2 = he::PaillierPublicKey::deserialize(r);
     std::vector<BigInt> coeff_cts(m);
-    for (auto& c : coeff_cts) c = read_ct(r, pk2);
+    for (auto& c : coeff_cts) c = pk2.parse_ciphertext(r);
     r.expect_done();
 
     const BigInt blind_bound = (BigInt(m) * BigInt(p) * BigInt(p)) << kStatBits;
@@ -304,7 +301,7 @@ SelectedShares input_selection_poly_mask_server_key(
     Reader r(net.server_receive(server_id));
     for (std::size_t j = 0; j < m; ++j) {
       const std::uint64_t e_j =
-          server_sk.decrypt(read_ct(r, server_pk)).mod_floor(BigInt(p)).to_u64();
+          server_sk.decrypt(server_pk.parse_ciphertext(r)).mod_floor(BigInt(p)).to_u64();
       shares.server_shares[j] = (p - e_j) % p;
     }
     const Bytes pir_query = r.bytes();
@@ -390,7 +387,8 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
     Writer w;
     const BigInt u(modulus);
     for (std::size_t j = 0; j < m; ++j) {
-      const BigInt ct = BigInt::from_bytes_be(items[j]);
+      Reader item(items[j]);
+      const BigInt ct = pk2.parse_ciphertext(item);
       const std::uint64_t r_j = client_prg.uniform(modulus);
       shares.client_shares[j] = r_j;
       // plaintext: x + u*rho + (u - r_j); mod u this is x - r_j, and the
@@ -409,7 +407,7 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
   Reader r(net.server_receive(server_id));
   for (std::size_t j = 0; j < m; ++j) {
     shares.server_shares[j] =
-        server_sk.decrypt(read_ct(r, server_pk)).mod_floor(BigInt(modulus)).to_u64();
+        server_sk.decrypt(server_pk.parse_ciphertext(r)).mod_floor(BigInt(modulus)).to_u64();
   }
   r.expect_done();
   return shares;

@@ -26,10 +26,6 @@ void write_ct(Writer& w, const he::PaillierPublicKey& pk, const BigInt& ct) {
   w.raw(ct.to_bytes_be_padded(pk.ciphertext_bytes()));
 }
 
-BigInt read_ct(Reader& r, const he::PaillierPublicKey& pk) {
-  return BigInt::from_bytes_be(r.raw(pk.ciphertext_bytes()));
-}
-
 // E(m) for each plaintext: from `pool` when one serves this key, else with
 // units drawn serially from `prg` and the factors computed in one batch.
 std::vector<BigInt> encrypt_each(const he::PaillierPublicKey& pk, std::span<const BigInt> plain,
@@ -154,7 +150,7 @@ std::uint64_t WeightedSumProtocol::run(net::StarNetwork& net, std::size_t server
   const std::vector<std::uint64_t> masked_items =
       spir.decode_u64(client_sk, r.bytes(), pir_state);
   const std::uint64_t mask_sum =
-      client_sk.decrypt(read_ct(r, pk)).mod_floor(BigInt(p)).to_u64();
+      client_sk.decrypt(pk.parse_ciphertext(r)).mod_floor(BigInt(p)).to_u64();
   r.expect_done();
   std::uint64_t weighted = 0;
   for (std::size_t j = 0; j < m_; ++j) {
@@ -244,7 +240,7 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
     const std::vector<std::uint64_t> masked_items =
         spir.decode_u64(client_sk, r.bytes(), pir_state);
     const std::uint64_t mask_sum =
-        client_sk.decrypt(read_ct(r, pk)).mod_floor(BigInt(p)).to_u64();
+        client_sk.decrypt(pk.parse_ciphertext(r)).mod_floor(BigInt(p)).to_u64();
     std::uint64_t total = 0;
     for (const std::uint64_t v : masked_items) total = add_mod(total, v, p);
     aggregates[round] = add_mod(total, p - mask_sum, p);
@@ -450,7 +446,7 @@ std::size_t FrequencyProtocol::run(net::StarNetwork& net, std::size_t server_id,
   Reader r(net.client_receive(server_id));
   std::size_t count = 0;
   for (std::size_t j = 0; j < m_; ++j) {
-    const BigInt v = client_sk.decrypt(read_ct(r, pk));
+    const BigInt v = client_sk.decrypt(pk.parse_ciphertext(r));
     if (v.mod_floor(BigInt(p)).is_zero()) ++count;
   }
   r.expect_done();

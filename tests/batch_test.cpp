@@ -14,6 +14,7 @@
 #include "common/parallel.h"
 #include "crypto/prg.h"
 #include "he/paillier.h"
+#include "kernel_arms.h"
 #include "obs/obs.h"
 #include "pir/cpir.h"
 
@@ -52,9 +53,14 @@ obs::OpCounts metered(const std::function<void()>& body) {
 
 std::uint64_t op(const obs::OpCounts& ops, obs::Op o) { return ops[static_cast<std::size_t>(o)]; }
 
-class ThreadsTest : public ::testing::TestWithParam<std::size_t> {
+// Run on both kernel arms (kernel_arms.h): the "Threads" instantiations on
+// the lane arm, the "PortableArm" ones on the portable arm.
+class ThreadsTest : public arms::ArmTest<std::size_t> {
  protected:
-  void SetUp() override { ThreadPool::set_global_threads(GetParam()); }
+  void SetUp() override {
+    ArmTest::SetUp();
+    ThreadPool::set_global_threads(GetParam());
+  }
   void TearDown() override { ThreadPool::set_global_threads(0); }
 };
 
@@ -110,10 +116,11 @@ TEST_P(PowBatchSecret, EdgeExponentsAndOpCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, PowBatchSecret, ::testing::Values(1, 2, 8));
+INSTANTIATE_TEST_SUITE_P(PortableArm, PowBatchSecret, ::testing::Values(1, 2, 8));
 
 // ---- decrypt_all ---------------------------------------------------------------
 
-class DecryptAllLanes : public ::testing::TestWithParam<std::size_t> {};
+class DecryptAllLanes : public arms::ArmTest<std::size_t> {};
 
 // The lane decrypt_all against per-element scalar decrypt, on c = 1,
 // c = N^2 - 1 and fresh encryptions, in batches of 1, 7, 8 and 9.
@@ -163,6 +170,8 @@ TEST_P(DecryptAllLanes, InvalidInputThrowsLikeScalar) {
 }
 
 INSTANTIATE_TEST_SUITE_P(KeyBits, DecryptAllLanes, ::testing::Values(512, 768, 1024, 2048));
+INSTANTIATE_TEST_SUITE_P(PortableArm, DecryptAllLanes,
+                         ::testing::Values(512, 768, 1024, 2048));
 
 // ---- multi_pow_matrices ----------------------------------------------------------
 
@@ -213,6 +222,7 @@ TEST_P(MultiPowMatrices, MatchesPerProblemCalls) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, MultiPowMatrices, ::testing::Values(1, 2, 8));
+INSTANTIATE_TEST_SUITE_P(PortableArm, MultiPowMatrices, ::testing::Values(1, 2, 8));
 
 // ---- wave planner ----------------------------------------------------------------
 
@@ -358,6 +368,7 @@ TEST_P(BatchedPirAnswers, EqualSequentialAnswers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BatchedPirAnswers, ::testing::Values(1, 2, 8));
+INSTANTIATE_TEST_SUITE_P(PortableArm, BatchedPirAnswers, ::testing::Values(1, 2, 8));
 
 }  // namespace
 }  // namespace spfe

@@ -8,6 +8,7 @@
 #include "bignum/serialize.h"
 #include "common/error.h"
 #include "crypto/prg.h"
+#include "kernel_arms.h"
 #include "obs/obs.h"
 
 namespace spfe::bignum {
@@ -410,11 +411,11 @@ TEST(BigIntBoundary, ZeroLimbNormalization) {
   EXPECT_EQ((a - a), BigInt(0));
 }
 
-// pow_batch against per-element pow. On an AVX-512 IFMA CPU this exercises
-// the 8-lane radix-2^52 kernel (partial lane groups, digit counts up to 79
-// for 4096-bit moduli); elsewhere the portable loop. The dispatched kernel
-// is recorded as a test property so CI logs show which one ran.
-TEST(PowBatch, MatchesPowElementByElement) {
+// pow_batch against per-element pow. On the lane arm this exercises the
+// 8-lane radix-2^52 kernel (partial lane groups, digit counts up to 79 for
+// 4096-bit moduli); on the portable arm the portable loop. The dispatched
+// kernel is recorded as a test property so CI logs show which one ran.
+void pow_batch_matches_pow() {
   ::testing::Test::RecordProperty("pow_batch_kernel", MontgomeryContext::pow_batch_kernel());
   crypto::Prg prg("pow-batch");
   const auto random_odd = [&](std::size_t bits) {
@@ -460,7 +461,7 @@ TEST(PowBatch, MatchesPowElementByElement) {
   }
 }
 
-TEST(PowBatch, EdgeExponentsAndOpCount) {
+void pow_batch_edge_exponents() {
   const MontgomeryContext ctx(BigInt::from_string("1000000007") * BigInt(1000000009));
   const std::vector<BigInt> bases = {BigInt(0), BigInt(2), BigInt(12345), BigInt(7), BigInt(9),
                                      BigInt(10), BigInt(11), BigInt(12), BigInt(13)};
@@ -480,6 +481,26 @@ TEST(PowBatch, EdgeExponentsAndOpCount) {
   EXPECT_EQ(tracer.totals()[static_cast<std::size_t>(obs::Op::kModExp)], bases.size());
   tracer.set_enabled(false);
   tracer.reset();
+}
+
+TEST(PowBatch, MatchesPowElementByElement) {
+  SPFE_REQUIRE_LANE_ARM();
+  pow_batch_matches_pow();
+}
+
+TEST(PowBatchPortableArm, MatchesPowElementByElement) {
+  const ifma::ScopedPortableArm arm;
+  pow_batch_matches_pow();
+}
+
+TEST(PowBatch, EdgeExponentsAndOpCount) {
+  SPFE_REQUIRE_LANE_ARM();
+  pow_batch_edge_exponents();
+}
+
+TEST(PowBatchPortableArm, EdgeExponentsAndOpCount) {
+  const ifma::ScopedPortableArm arm;
+  pow_batch_edge_exponents();
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "crypto/prg.h"
+#include "kernel_arms.h"
 
 namespace spfe::bignum {
 namespace {
@@ -233,7 +234,7 @@ void expect_lane_path_matches(const BigInt& m, const std::vector<BigInt>& bases,
   common::ThreadPool::set_global_threads(0);  // back to the SPFE_THREADS default
 }
 
-TEST(MultiPowMatrixLanes, MatchesNaiveOnFoldShapes) {
+void lanes_match_naive_on_fold_shapes() {
   ::testing::Test::RecordProperty("multiexp_kernel", MontgomeryContext::pow_batch_kernel());
   crypto::Prg prg("matrix-lanes-fold");
   // The cPIR fold's multi-exps: the salary survey's depth-2 levels at
@@ -266,7 +267,7 @@ TEST(MultiPowMatrixLanes, MatchesNaiveOnFoldShapes) {
   }
 }
 
-TEST(MultiPowMatrixLanes, MatchesNaiveOnEdgeShapesAndModuli) {
+void lanes_match_naive_on_edge_shapes() {
   ::testing::Test::RecordProperty("multiexp_kernel", MontgomeryContext::pow_batch_kernel());
   crypto::Prg prg("matrix-lanes-edge");
   // N^2 for N of 256 to 2048 bits, and an odd modulus of exactly 20
@@ -311,6 +312,27 @@ TEST(MultiPowMatrixLanes, MatchesNaiveOnEdgeShapesAndModuli) {
     }
     expect_lane_path_matches(m, pool, exps, {}, mod + ", all zero");
   }
+}
+
+// On the portable arm the same shapes run the scalar Straus columns.
+TEST(MultiPowMatrixLanes, MatchesNaiveOnFoldShapes) {
+  SPFE_REQUIRE_LANE_ARM();
+  lanes_match_naive_on_fold_shapes();
+}
+
+TEST(MultiPowMatrixLanesPortableArm, MatchesNaiveOnFoldShapes) {
+  const ifma::ScopedPortableArm arm;
+  lanes_match_naive_on_fold_shapes();
+}
+
+TEST(MultiPowMatrixLanes, MatchesNaiveOnEdgeShapesAndModuli) {
+  SPFE_REQUIRE_LANE_ARM();
+  lanes_match_naive_on_edge_shapes();
+}
+
+TEST(MultiPowMatrixLanesPortableArm, MatchesNaiveOnEdgeShapesAndModuli) {
+  const ifma::ScopedPortableArm arm;
+  lanes_match_naive_on_edge_shapes();
 }
 
 // ---- FixedBasePowTable ------------------------------------------------------

@@ -28,6 +28,7 @@
 #include "common/serialize.h"
 #include "crypto/sha256.h"
 #include "fault_goldens.h"
+#include "kernel_arms.h"
 #include "field/fp64.h"
 #include "he/paillier.h"
 #include "net/network.h"
@@ -145,10 +146,15 @@ void expect_golden_ops(const std::string& name, const obs::OpCounts& ops,
   EXPECT_EQ(actual, expect) << name << ": op totals differ from the recorded run";
 }
 
-// The two thread counts every golden replays at.
-class PaillierGoldenTest : public ::testing::TestWithParam<std::size_t> {
+// The two thread counts every golden replays at, on both kernel arms
+// (kernel_arms.h): the "Threads" instantiation on the lane arm, the
+// "PortableArm" one on the portable arm.
+class PaillierGoldenTest : public arms::ArmTest<std::size_t> {
  protected:
-  void SetUp() override { ThreadPool::set_global_threads(GetParam()); }
+  void SetUp() override {
+    ArmTest::SetUp();
+    ThreadPool::set_global_threads(GetParam());
+  }
   void TearDown() override { ThreadPool::set_global_threads(0); }
 };
 
@@ -319,10 +325,12 @@ TEST_P(PaillierGoldenTest, TableOneRows) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, PaillierGoldenTest, ::testing::Values(1, 8),
-                         [](const ::testing::TestParamInfo<std::size_t>& param) {
-                           return "Threads" + std::to_string(param.param);
-                         });
+std::string threads_name(const ::testing::TestParamInfo<std::size_t>& param) {
+  return "Threads" + std::to_string(param.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PaillierGoldenTest, ::testing::Values(1, 8), threads_name);
+INSTANTIATE_TEST_SUITE_P(PortableArm, PaillierGoldenTest, ::testing::Values(1, 8), threads_name);
 
 }  // namespace
 }  // namespace spfe

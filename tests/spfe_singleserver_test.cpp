@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "circuits/arith_circuit.h"
 #include "common/error.h"
 #include "spfe/input_selection.h"
@@ -265,6 +267,38 @@ TEST_F(SingleServerSpfeTest, PolyMaskClientKeyRejectsOutOfRangeCiphertext) {
   const auto db = make_db(32, 1000);
   FfFirstCiphertextNetwork net(client_sk_.public_key().ciphertext_bytes());
   EXPECT_THROW(run_input_selection(net, 0, db, {3, 7}, p, SelectionMethod::kPolyMaskClientKey,
+                                   client_sk_, server_sk_, 1, client_prg_, server_prg_),
+               ProtocolError);
+}
+
+// A hostile server: the last ciphertext of its first message is all 0xff
+// bytes.
+class FfLastServerCiphertextNetwork : public net::StarNetwork {
+ public:
+  explicit FfLastServerCiphertextNetwork(std::size_t ciphertext_bytes)
+      : net::StarNetwork(1), width_(ciphertext_bytes) {}
+
+  void server_send(std::size_t s, Bytes message) override {
+    if (!tampered_) {
+      std::fill(message.end() - static_cast<std::ptrdiff_t>(width_), message.end(),
+                std::uint8_t{0xff});
+    }
+    tampered_ = true;
+    net::StarNetwork::server_send(s, std::move(message));
+  }
+
+ private:
+  std::size_t width_;
+  bool tampered_ = false;
+};
+
+// §3.3.2 variant 2: the client multi-exps the server's coefficient
+// ciphertexts E_srv(s_k), so it must range-check them first.
+TEST_F(SingleServerSpfeTest, PolyMaskServerKeyRejectsOutOfRangeCoefficient) {
+  const std::uint64_t p = field::smallest_prime_above(1000);
+  const auto db = make_db(32, 1000);
+  FfLastServerCiphertextNetwork net(server_sk_.public_key().ciphertext_bytes());
+  EXPECT_THROW(run_input_selection(net, 0, db, {3, 7}, p, SelectionMethod::kPolyMaskServerKey,
                                    client_sk_, server_sk_, 1, client_prg_, server_prg_),
                ProtocolError);
 }
