@@ -670,6 +670,6 @@ int main(int argc, char** argv) {
   spfe::bench::JsonReport json("primitives");
   JsonCapturingReporter reporter(&json);
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  json.write();
+  json.write(smoke);
   return 0;
 }

@@ -436,7 +436,7 @@ int main(int argc, char** argv) {
     json.add("itpir_adv_lie_p99", k, static_cast<double>(adv_lie_p99) * 1e3, lied.bytes);
   }
 
-  json.write();
+  json.write(smoke);
 
   // CI gate: hedging must at least halve the p99 (and every query must have
   // decoded the exact value). Virtual time makes this deterministic.

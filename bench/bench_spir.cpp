@@ -417,6 +417,6 @@ int main(int argc, char** argv) {
   std::printf("\nShape check: batch SPIR's server time is ~flat in m while per-item is\n"
               "~linear in m (Omega(mn) vs ~3n); multi-server IT schemes are orders of\n"
               "magnitude cheaper computationally, at the price of k servers (§1.1).\n");
-  json.write();
+  json.write(smoke);
   return 0;
 }

@@ -3,9 +3,14 @@
 // Claims measured:
 //   - the dedicated 1-round weighted-sum protocol beats the generic
 //     two-phase constructions for f = sum (rounds and communication);
-//   - the average+variance "package" costs about one extra answer, not a
-//     second protocol run;
+//   - the average+variance "package" costs one packed answer plus one extra
+//     ciphertext, not a second protocol run;
 //   - frequency counting adds exactly one round after input selection.
+//
+// `--smoke` runs only the package comparison, on a smaller database, so CI
+// can emit its rows in seconds. Emits BENCH_stats.json (see bench_util.h
+// JsonReport): one row each for the package and the two weighted sums, with
+// bytes and rounds.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -16,23 +21,85 @@
 #include "spfe/stats.h"
 #include "spfe/two_phase.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spfe;
   using protocols::SelectionMethod;
 
-  std::printf("== E6: private statistics (§4) on the census workload ==\n\n");
+  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  bench::JsonReport json("stats");
+  std::printf("== E6: private statistics (§4) on the census workload%s ==\n\n",
+              smoke ? " (--smoke)" : "");
   crypto::Prg client_prg("e6-client"), server_prg("e6-server"), data_prg("e6-data");
   const he::PaillierPrivateKey client_sk = he::paillier_keygen(client_prg, 512);
   const he::PaillierPrivateKey server_sk = he::paillier_keygen(server_prg, 512);
 
   dbgen::CensusOptions options;
-  options.num_records = 4096;
+  options.num_records = smoke ? 512 : 4096;
   options.max_salary = 100'000;
   const dbgen::CensusDatabase census = dbgen::generate_census(options, data_prg);
   const std::vector<std::uint64_t> salaries = census.private_column();
   const std::size_t n = salaries.size();
 
-  std::printf("--- f = sum of m selected salaries: §4 weighted-sum vs generic (n = %zu) ---\n",
+  // Every row checks its output against the plaintext; any WRONG row makes
+  // the exit status nonzero.
+  bool all_ok = true;
+  const auto verdict = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok ? "yes" : "WRONG";
+  };
+  std::printf("--- §4 average + variance package vs two separate weighted sums (n = %zu) ---\n",
+              n);
+  {
+    constexpr std::size_t kM = 8;
+    const auto indices = census.select_sample(
+        [](const dbgen::CensusRecord& r) { return r.age_bracket >= 5; }, kM);
+    const field::Fp64 field(field::smallest_prime_above(
+        kM * 100'001ull * 100'001ull));
+    std::vector<std::uint64_t> squares(n);
+    for (std::size_t i = 0; i < n; ++i) squares[i] = salaries[i] * salaries[i];
+    std::uint64_t expect_sum = 0, expect_sq = 0;
+    for (const std::size_t i : indices) {
+      expect_sum += salaries[i];
+      expect_sq += squares[i];
+    }
+    bench::Table pkg({"protocol", "rounds", "total comm", "wall ms", "ok"});
+    const auto add_row = [&](const std::string& label, const std::string& op,
+                             const net::StarNetwork& net, const bench::Stopwatch& sw, bool ok) {
+      const double ms = sw.ms();
+      pkg.add({label, bench::rounds_str(net.stats()),
+               bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", ms),
+               verdict(ok)});
+      json.add(op, n, ms * 1e6, net.stats().total_bytes(), net.stats().rounds());
+    };
+    {
+      const protocols::MeanVariancePackage proto(field, n, kM, 2);
+      net::StarNetwork net(1);
+      bench::Stopwatch sw;
+      const protocols::MeanVarianceResult res =
+          proto.run(net, 0, salaries, indices, client_sk, client_prg, server_prg);
+      add_row("mean+variance package", "mean_variance_package", net, sw,
+              res.sum == expect_sum && res.sum_of_squares == expect_sq);
+    }
+    {
+      const protocols::WeightedSumProtocol proto(field, n, kM, 2);
+      const std::vector<std::uint64_t> ones(kM, 1);
+      net::StarNetwork net(1);
+      bench::Stopwatch sw;
+      const std::uint64_t sum =
+          proto.run(net, 0, salaries, indices, ones, client_sk, client_prg, server_prg);
+      const std::uint64_t sq =
+          proto.run(net, 0, squares, indices, ones, client_sk, client_prg, server_prg);
+      add_row("2 x weighted-sum (sum, sum sq)", "weighted_sum_x2", net, sw,
+              sum == expect_sum && sq == expect_sq);
+    }
+    pkg.print();
+  }
+  if (smoke) {
+    json.write(/*smoke=*/true);
+    return all_ok ? 0 : 1;
+  }
+
+  std::printf("\n--- f = sum of m selected salaries: §4 weighted-sum vs generic (n = %zu) ---\n",
               n);
   bench::Table table({"m", "protocol", "rounds", "total comm", "wall ms", "ok"});
   for (const std::size_t m : {8u, 16u}) {
@@ -54,7 +121,7 @@ int main() {
                                           client_prg, server_prg);
       table.add({std::to_string(m), "§4 weighted-sum", bench::rounds_str(net.stats()),
                  bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms()),
-                 got == expect ? "yes" : "WRONG"});
+                 verdict(got == expect)});
     }
     for (const SelectionMethod method :
          {SelectionMethod::kPolyMaskClientKey, SelectionMethod::kEncryptedDb}) {
@@ -67,7 +134,7 @@ int main() {
       table.add({std::to_string(m),
                  std::string("two-phase ") + protocols::selection_method_name(method),
                  bench::rounds_str(net.stats()), bench::human_bytes(net.stats().total_bytes()),
-                 bench::fmt("%.0f", sw.ms()), out[0] == expect ? "yes" : "WRONG"});
+                 bench::fmt("%.0f", sw.ms()), verdict(out[0] == expect)});
     }
     {  // multi-server sum (§3.1 / §4 "efficiency of previous constructions").
       const field::Fp64 f61(field::Fp64::kMersenne61);
@@ -79,42 +146,10 @@ int main() {
           proto.run(net, salaries, indices, crypto::Prg::random_seed(), client_prg);
       table.add({std::to_string(m), "multi-server sum (k=" + std::to_string(k) + ")",
                  bench::rounds_str(net.stats()), bench::human_bytes(net.stats().total_bytes()),
-                 bench::fmt("%.0f", sw.ms()), got == expect ? "yes" : "WRONG"});
+                 bench::fmt("%.0f", sw.ms()), verdict(got == expect)});
     }
   }
   table.print();
-
-  std::printf("\n--- §4 average + variance package vs two separate weighted sums ---\n");
-  {
-    constexpr std::size_t kM = 8;
-    const auto indices = census.select_sample(
-        [](const dbgen::CensusRecord& r) { return r.age_bracket >= 5; }, kM);
-    const field::Fp64 field(field::smallest_prime_above(
-        kM * 100'001ull * 100'001ull));
-    bench::Table pkg({"protocol", "rounds", "total comm", "wall ms"});
-    {
-      const protocols::MeanVariancePackage proto(field, n, kM, 2);
-      net::StarNetwork net(1);
-      bench::Stopwatch sw;
-      (void)proto.run(net, 0, salaries, indices, client_sk, client_prg, server_prg);
-      pkg.add({"mean+variance package", bench::rounds_str(net.stats()),
-               bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms())});
-    }
-    {
-      const protocols::WeightedSumProtocol proto(field, n, kM, 2);
-      std::vector<std::uint64_t> squares(n);
-      for (std::size_t i = 0; i < n; ++i) squares[i] = salaries[i] * salaries[i];
-      net::StarNetwork net(1);
-      bench::Stopwatch sw;
-      (void)proto.run(net, 0, salaries, indices, std::vector<std::uint64_t>(kM, 1), client_sk,
-                      client_prg, server_prg);
-      (void)proto.run(net, 0, squares, indices, std::vector<std::uint64_t>(kM, 1), client_sk,
-                      client_prg, server_prg);
-      pkg.add({"2 x weighted-sum (sum, sum sq)", bench::rounds_str(net.stats()),
-               bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms())});
-    }
-    pkg.print();
-  }
 
   std::printf("\n--- §4 frequency counting (keyword = age bracket) ---\n");
   {
@@ -138,13 +173,14 @@ int main() {
         freq.add({std::to_string(m), protocols::selection_method_name(method),
                   bench::rounds_str(net.stats()),
                   bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms()),
-                  got == expect ? "yes" : "WRONG"});
+                  verdict(got == expect)});
       }
     }
     freq.print();
   }
   std::printf("\nShape check: §4 weighted-sum wins on rounds (1.0) and communication vs the\n"
-              "two-phase constructions; the package costs ~one extra answer; frequency =\n"
-              "selection rounds + 1.\n");
-  return 0;
+              "two-phase constructions; the package costs one packed answer and one extra\n"
+              "ciphertext; frequency = selection rounds + 1.\n");
+  json.write();
+  return all_ok ? 0 : 1;
 }

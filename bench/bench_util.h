@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,14 +33,16 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
 
 // Machine-readable bench output. Rows accumulate in memory; write() emits
 // BENCH_<name>.json into $SPFE_BENCH_JSON_DIR (or the working directory) as
-// a JSON array of {op, size, ns_per_op, bytes} objects — the format CI
-// uploads as an artifact and EXPERIMENTS.md tables are regenerated from.
+// a JSON array of {op, size, ns_per_op, bytes} objects, plus "rounds" on
+// protocol rows — the format CI uploads as an artifact and EXPERIMENTS.md
+// tables are regenerated from.
 class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}
 
-  void add(const std::string& op, std::uint64_t size, double ns_per_op, std::uint64_t bytes) {
-    rows_.push_back({op, size, ns_per_op, bytes});
+  void add(const std::string& op, std::uint64_t size, double ns_per_op, std::uint64_t bytes,
+           std::optional<double> rounds = std::nullopt) {
+    rows_.push_back({op, size, ns_per_op, bytes, rounds});
   }
 
   // Serializes the report. A NaN/inf ns_per_op (zero-iteration or clock-glitch
@@ -61,7 +64,12 @@ class JsonReport {
         out += c;
       }
       out += "\", \"size\": " + std::to_string(r.size) + ", \"ns_per_op\": " + num +
-             ", \"bytes\": " + std::to_string(r.bytes) + "}";
+             ", \"bytes\": " + std::to_string(r.bytes);
+      if (r.rounds.has_value()) {
+        std::snprintf(num, sizeof num, "%.1f", *r.rounds);
+        out += ", \"rounds\": " + std::string(num);
+      }
+      out += "}";
       if (i + 1 != rows_.size()) out += ',';
       out += '\n';
     }
@@ -72,9 +80,17 @@ class JsonReport {
   // Writes BENCH_<name>.json atomically (temp file + rename): a crash or a
   // full disk leaves either the previous report or none, never a truncated
   // one, and every I/O failure is checked and reported. Returns success.
-  bool write() const {
+  // A `smoke` run writes only into $SPFE_BENCH_JSON_DIR, never the working
+  // directory, so it cannot replace a committed full-run report.
+  bool write(bool smoke = false) const {
     const char* dir = std::getenv("SPFE_BENCH_JSON_DIR");
-    std::string path = (dir != nullptr && *dir != '\0') ? std::string(dir) + "/" : std::string();
+    const bool have_dir = dir != nullptr && *dir != '\0';
+    if (smoke && !have_dir) {
+      std::printf("\n[json] smoke run: BENCH_%s.json not written (set SPFE_BENCH_JSON_DIR)\n",
+                  name_.c_str());
+      return true;
+    }
+    std::string path = have_dir ? std::string(dir) + "/" : std::string();
     path += "BENCH_" + name_ + ".json";
     const std::string tmp = path + ".tmp";
     std::FILE* f = std::fopen(tmp.c_str(), "w");
@@ -105,6 +121,7 @@ class JsonReport {
     std::uint64_t size;
     double ns_per_op;
     std::uint64_t bytes;
+    std::optional<double> rounds;
   };
   std::string name_;
   std::vector<Entry> rows_;

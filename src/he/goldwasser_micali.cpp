@@ -60,6 +60,12 @@ BigInt GmPublicKey::rerandomize_with_factor(const BigInt& c, const BigInt& r2) c
   return bignum::mod_mul(c, r2, n_);
 }
 
+BigInt GmPublicKey::parse_ciphertext(Reader& r) const {
+  BigInt c = BigInt::from_bytes_be(r.raw(ciphertext_bytes()));
+  if (c.is_zero() || c >= n_) throw ProtocolError("GM: ciphertext out of range");
+  return c;
+}
+
 void GmPublicKey::serialize(Writer& w) const {
   bignum::write_bigint(w, n_);
   bignum::write_bigint(w, z_);

@@ -38,6 +38,11 @@ class GmPublicKey {
   bignum::BigInt rerandomize_with_factor(const bignum::BigInt& c,
                                          const bignum::BigInt& r2) const;
 
+  // Reads one fixed-width ciphertext off the wire and checks it is in
+  // [1, N); throws ProtocolError otherwise (e.g. for all-0xff bytes or 0),
+  // which no encryption under this key produces.
+  bignum::BigInt parse_ciphertext(Reader& r) const;
+
   void serialize(Writer& w) const;
   static GmPublicKey deserialize(Reader& r);
 

@@ -82,6 +82,9 @@ std::vector<Bytes> BaseOt::decode(BytesView answer,
   for (std::size_t i = 0; i < states.size(); ++i) {
     const BigInt gr0 = BigInt::from_bytes_be(r.raw(group_.element_bytes()));
     const BigInt gr1 = BigInt::from_bytes_be(r.raw(group_.element_bytes()));
+    if (gr0.is_zero() || gr0 >= group_.p() || gr1.is_zero() || gr1 >= group_.p()) {
+      throw ProtocolError("BaseOt: bad sender element");
+    }
     const Bytes y0 = r.bytes();
     const Bytes y1 = r.bytes();
     const bool b = states[i].choice;

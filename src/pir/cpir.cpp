@@ -369,7 +369,10 @@ std::vector<std::uint64_t> PaillierPir::decode_u64_many(const he::PaillierPrivat
                                                         std::span<const BytesView> answers) const {
   const std::vector<std::vector<BigInt>> chunks = decode_chunks(sk, answers, 1);
   std::vector<std::uint64_t> out(chunks.size());
-  for (std::size_t i = 0; i < chunks.size(); ++i) out[i] = chunks[i][0].to_u64();
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (chunks[i][0].bit_length() > 64) throw ProtocolError("PaillierPir: item exceeds 64 bits");
+    out[i] = chunks[i][0].to_u64();
+  }
   return out;
 }
 
@@ -384,6 +387,9 @@ std::vector<Bytes> PaillierPir::decode_bytes_many(const he::PaillierPrivateKey& 
     for (std::size_t p = 0; p < pieces; ++p) {
       const std::size_t end = item_bytes - p * cb;
       const std::size_t begin = end > cb ? end - cb : 0;
+      if (chunks[i][p].bit_length() > 8 * (end - begin)) {
+        throw ProtocolError("PaillierPir: item chunk wider than the item");
+      }
       const Bytes be = chunks[i][p].to_bytes_be_padded(end - begin);
       std::copy(be.begin(), be.end(), out[i].begin() + static_cast<std::ptrdiff_t>(begin));
     }

@@ -488,7 +488,7 @@ SelectedXorShares input_selection_encrypted_db_gm(
       Reader ir(items[j]);
       std::uint64_t r_j = 0;
       for (std::size_t b = 0; b < item_bits; ++b) {
-        const BigInt ct = BigInt::from_bytes_be(ir.raw(pk2.ciphertext_bytes()));
+        const BigInt ct = pk2.parse_ciphertext(ir);
         const bool blind = client_prg.coin();
         if (blind) r_j |= std::uint64_t(1) << b;
         // E(x_bit) * E(blind) = E(x_bit ^ blind); rerandomize so the server
@@ -510,8 +510,7 @@ SelectedXorShares input_selection_encrypted_db_gm(
   for (std::size_t j = 0; j < m; ++j) {
     std::uint64_t a_j = 0;
     for (std::size_t b = 0; b < item_bits; ++b) {
-      const BigInt ct = BigInt::from_bytes_be(r.raw(ct_bytes));
-      if (server_sk.decrypt(ct)) a_j |= std::uint64_t(1) << b;
+      if (server_sk.decrypt(gm_pk.parse_ciphertext(r))) a_j |= std::uint64_t(1) << b;
     }
     shares.server_shares[j] = a_j;
   }

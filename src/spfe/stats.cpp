@@ -1,6 +1,7 @@
 #include "spfe/stats.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.h"
 #include "common/serialize.h"
@@ -182,8 +183,7 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
   }
   const pir::CuckooBatchPir spir(pk, n_, m_, pir_depth_);
 
-  // Client round-1: one SPIR query (reused for both databases) + E(c_k)
-  // with unit weights.
+  // Client round-1: one SPIR query + E(c_k) with unit weights.
   he::PaillierRandomnessPool* pool = pool_for(precomp, pk);
   pir::CuckooBatchPir::ClientState pir_state;
   {
@@ -203,8 +203,12 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
     net.client_send(server_id, w.take());
   }
 
-  // Server: answers the same selection over x and over x^2, with
-  // independent mask polynomials ("it replies twice", §4).
+  // Server: one answer over items that pack masked x (low half) and masked
+  // x^2 (high half), each half `half` bytes, under independent mask
+  // polynomials; then E(mask sum) per half. §4 replies twice; the packed
+  // reply gives the client a fixed function of those two replies (DESIGN.md
+  // "One packed reply for mean and variance").
+  const std::size_t half = (std::bit_width(p) + 7) / 8;
   {
     Reader r(net.server_receive(server_id));
     const Bytes pir_query = r.bytes();
@@ -214,15 +218,24 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
 
     std::vector<std::uint64_t> squares(n_);
     for (std::size_t i = 0; i < n_; ++i) squares[i] = mul_mod(database[i], database[i], p);
+    std::vector<std::uint64_t> s[2];
+    for (auto& coeffs : s) {
+      coeffs.resize(m_);
+      for (auto& coeff : coeffs) coeff = server_prg.uniform(p);
+    }
+    const std::vector<std::uint64_t> masked_x = mask_database(database, s[0], p);
+    const std::vector<std::uint64_t> masked_sq = mask_database(squares, s[1], p);
+    std::vector<Bytes> packed(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      packed[i] = ((BigInt(masked_sq[i]) << (8 * half)) + BigInt(masked_x[i]))
+                      .to_bytes_be_padded(2 * half);
+    }
 
-    const std::span<const std::uint64_t> views[2] = {database, squares};
     Writer w;
-    for (const std::span<const std::uint64_t> data : views) {
-      std::vector<std::uint64_t> s(m_);
-      for (auto& coeff : s) coeff = server_prg.uniform(p);
-      w.bytes(spir.answer_u64(mask_database(data, s, p), pir_query, server_prg));
+    w.bytes(spir.answer_bytes(packed, 2 * half, pir_query, server_prg));
+    for (const std::vector<std::uint64_t>& coeffs : s) {
       std::vector<BigInt> s_big(m_);
-      for (std::size_t k = 0; k < m_; ++k) s_big[k] = BigInt(s[k]);
+      for (std::size_t k = 0; k < m_; ++k) s_big[k] = BigInt(coeffs[k]);
       BigInt acc = pk.add(pk.encrypt(BigInt(0), server_prg), pk.mul_scalar_sum(c_cts, s_big));
       const BigInt rho =
           BigInt::random_below(server_prg, (BigInt(m_) * BigInt(p)) << kStatBits);
@@ -232,18 +245,25 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
     net.server_send(server_id, w.take());
   }
 
-  // Client: recover both aggregates.
+  // Client: split each item into its halves, each a field element or the
+  // reply is forged, and subtract the two mask sums.
   MeanVarianceResult result;
   Reader r(net.client_receive(server_id));
-  std::uint64_t aggregates[2];
-  for (int round = 0; round < 2; ++round) {
-    const std::vector<std::uint64_t> masked_items =
-        spir.decode_u64(client_sk, r.bytes(), pir_state);
+  const std::vector<Bytes> items = spir.decode_bytes(client_sk, 2 * half, r.bytes(), pir_state);
+  std::uint64_t aggregates[2] = {0, 0};
+  for (const Bytes& item : items) {
+    const BytesView view(item);
+    const std::uint64_t halves[2] = {BigInt::from_bytes_be(view.subspan(half)).to_u64(),
+                                     BigInt::from_bytes_be(view.first(half)).to_u64()};
+    for (int k = 0; k < 2; ++k) {
+      if (halves[k] >= p) throw ProtocolError("MeanVariancePackage: packed item out of range");
+      aggregates[k] = add_mod(aggregates[k], halves[k], p);
+    }
+  }
+  for (std::uint64_t& aggregate : aggregates) {
     const std::uint64_t mask_sum =
         client_sk.decrypt(pk.parse_ciphertext(r)).mod_floor(BigInt(p)).to_u64();
-    std::uint64_t total = 0;
-    for (const std::uint64_t v : masked_items) total = add_mod(total, v, p);
-    aggregates[round] = add_mod(total, p - mask_sum, p);
+    aggregate = add_mod(aggregate, p - mask_sum, p);
   }
   r.expect_done();
   result.sum = aggregates[0];

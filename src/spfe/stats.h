@@ -13,9 +13,11 @@
 //   *some* linear combination of m items (weak security).
 //
 // MeanVariancePackage: the §4 "package" — the server holds the squares
-// database x''_i = x_i^2 alongside x and answers the same selection twice
-// (independent mask polynomials), yielding sum and sum-of-squares, from
-// which the client derives mean and variance. Still one round.
+// database x''_i = x_i^2 alongside x, masks each with an independent
+// polynomial, and answers the selection once over items packing both masked
+// values (§4 replies twice; DESIGN.md "One packed reply for mean and
+// variance"), yielding sum and sum-of-squares, from which the client
+// derives mean and variance. Still one round.
 //
 // FrequencyProtocol: counts occurrences of a keyword w among the selected
 // items. After any input-selection phase (shares a_j + b_j = x_{i_j} mod p),

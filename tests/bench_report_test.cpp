@@ -44,6 +44,17 @@ TEST(JsonReport, RoundTripsThroughStrictParser) {
   EXPECT_DOUBLE_EQ(doc.array[1].find("ns_per_op")->number, 0.4);
 }
 
+TEST(JsonReport, RoundsAppearOnlyOnRowsThatCarryThem) {
+  JsonReport report("rounds");
+  report.add("mean_variance_package", 512, 2.5e8, 9000, 1.0);
+  report.add("modexp", 2048, 0.4, 0);
+  const testjson::Value doc = testjson::parse(report.to_json());
+  ASSERT_EQ(doc.array.size(), 2u);
+  ASSERT_NE(doc.array[0].find("rounds"), nullptr);
+  EXPECT_DOUBLE_EQ(doc.array[0].find("rounds")->number, 1.0);
+  EXPECT_EQ(doc.array[1].find("rounds"), nullptr);
+}
+
 TEST(JsonReport, EmptyReportIsValidEmptyArray) {
   const testjson::Value doc = testjson::parse(JsonReport("empty").to_json());
   ASSERT_TRUE(doc.is_array());
@@ -103,6 +114,29 @@ TEST(JsonReport, WriteProducesParsableFileAtomically) {
   ASSERT_EQ(doc.array.size(), 2u);
   EXPECT_EQ(doc.array[0].find("op")->string, "op_a");
   EXPECT_TRUE(doc.array[1].find("ns_per_op")->is_null());
+}
+
+// A smoke run never writes into the working directory: only an explicit
+// $SPFE_BENCH_JSON_DIR receives its report.
+TEST(JsonReport, SmokeWriteNeedsExplicitDir) {
+  unsetenv("SPFE_BENCH_JSON_DIR");
+  JsonReport report("smoke_no_dir_test");
+  report.add("op", 1, 1.0, 0);
+  EXPECT_TRUE(report.write(/*smoke=*/true));
+  std::FILE* stray = std::fopen("BENCH_smoke_no_dir_test.json", "rb");
+  EXPECT_EQ(stray, nullptr);
+  if (stray != nullptr) {
+    std::fclose(stray);
+    std::remove("BENCH_smoke_no_dir_test.json");
+  }
+
+  const std::string dir = ::testing::TempDir();
+  ASSERT_EQ(setenv("SPFE_BENCH_JSON_DIR", dir.c_str(), 1), 0);
+  EXPECT_TRUE(report.write(/*smoke=*/true));
+  unsetenv("SPFE_BENCH_JSON_DIR");
+  const std::string path = dir + "/BENCH_smoke_no_dir_test.json";
+  EXPECT_EQ(testjson::parse(read_file(path)).array.size(), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(JsonReport, WriteToUnwritableDirFailsCleanly) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bignum/primes.h"
 #include "common/error.h"
 #include "ot/base_ot.h"
@@ -91,6 +93,27 @@ TEST(BaseOt, MismatchedCountsThrow) {
   EXPECT_THROW(ot.answer(query, two, prg), ProtocolError);
   std::vector<std::pair<Bytes, Bytes>> uneven = {{Bytes{1}, Bytes{2, 3}}};
   EXPECT_THROW(ot.answer(query, uneven, prg), InvalidArgument);
+}
+
+// A hostile sender: either group element of an answer set to all-0xff
+// bytes (>= p) is rejected, whichever message the receiver chose.
+TEST(BaseOt, DecodeRejectsOutOfRangeSenderElements) {
+  const BaseOt ot(SchnorrGroup::rfc_like_512());
+  crypto::Prg prg("base-ot-ff");
+  const std::size_t width = SchnorrGroup::rfc_like_512().element_bytes();
+  for (const bool choice : {false, true}) {
+    std::vector<OtReceiverState> states;
+    const Bytes answer =
+        ot.answer(ot.make_query({choice}, states, prg), {{prg.bytes(16), prg.bytes(16)}}, prg);
+    for (const std::size_t element : {0u, 1u}) {
+      Bytes forged = answer;
+      // One-byte varint count, then g^r0 and g^r1.
+      std::fill_n(forged.begin() + 1 + static_cast<std::ptrdiff_t>(element * width), width,
+                  std::uint8_t{0xff});
+      EXPECT_THROW(ot.decode(forged, states), ProtocolError)
+          << "choice " << choice << ", element " << element;
+    }
+  }
 }
 
 TEST(OtExtension, TransfersManyMessages) {

@@ -351,6 +351,20 @@ TEST_F(PaillierPirTest, DecodeRejectsOutOfRangeAnswerCiphertexts) {
   EXPECT_THROW(pir.decode_u64(sk_, w.data()), ProtocolError);
 }
 
+TEST_F(PaillierPirTest, DecodeRejectsItemsWiderThanExpected) {
+  // A hostile server answers over 16-byte items of all-0xff bytes: a
+  // client expecting u64 or 8-byte items gets a typed rejection, not a
+  // truncated value.
+  constexpr std::size_t kN = 9;
+  const PaillierPir pir(sk_.public_key(), kN, 1);
+  const std::vector<Bytes> wide(kN, Bytes(16, 0xff));
+  PaillierPir::ClientState state;
+  const Bytes answer = pir.answer_bytes(wide, 16, pir.make_query(4, state, prg_), prg_);
+  EXPECT_THROW(pir.decode_u64(sk_, answer), ProtocolError);
+  EXPECT_THROW(pir.decode_bytes(sk_, 8, answer), ProtocolError);
+  EXPECT_EQ(pir.decode_bytes(sk_, 16, answer), wide[4]);
+}
+
 TEST_F(PaillierPirTest, ValidatesGeometry) {
   EXPECT_THROW(PaillierPir(sk_.public_key(), 0, 1), InvalidArgument);
   EXPECT_THROW(PaillierPir(sk_.public_key(), 8, 0), InvalidArgument);

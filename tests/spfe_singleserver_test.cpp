@@ -4,6 +4,8 @@
 
 #include "circuits/arith_circuit.h"
 #include "common/error.h"
+#include "common/serialize.h"
+#include "pir/cpir.h"
 #include "spfe/input_selection.h"
 #include "spfe/psm_spfe.h"
 #include "spfe/two_phase.h"
@@ -242,22 +244,23 @@ TEST_F(SingleServerSpfeTest, InputSelectionRoundCounts) {
   }
 }
 
-// A hostile client: the first ciphertext of its first message is all 0xff
-// bytes, a value >= N^2 that no encryption under the key produces.
+// A hostile client: the first ciphertext of its message number `message`
+// (0 = its first) is all 0xff bytes, a value no encryption under the key
+// produces.
 class FfFirstCiphertextNetwork : public net::StarNetwork {
  public:
-  explicit FfFirstCiphertextNetwork(std::size_t ciphertext_bytes)
-      : net::StarNetwork(1), width_(ciphertext_bytes) {}
+  explicit FfFirstCiphertextNetwork(std::size_t ciphertext_bytes, std::size_t message = 0)
+      : net::StarNetwork(1), width_(ciphertext_bytes), message_(message) {}
 
   void client_send(std::size_t s, Bytes message) override {
-    if (!tampered_) std::fill_n(message.begin(), width_, std::uint8_t{0xff});
-    tampered_ = true;
+    if (sent_++ == message_) std::fill_n(message.begin(), width_, std::uint8_t{0xff});
     net::StarNetwork::client_send(s, std::move(message));
   }
 
  private:
   std::size_t width_;
-  bool tampered_ = false;
+  std::size_t message_;
+  std::size_t sent_ = 0;
 };
 
 // §3.3.2 variant 1: the server multi-exps the client's E(i_j^k), so it
@@ -431,6 +434,63 @@ TEST_F(SingleServerSpfeTest, TwoPhaseBooleanGmFreeXorReconstruction) {
     if (out[b]) count |= std::uint64_t(1) << b;
   }
   EXPECT_EQ(count, 3u);
+}
+
+// A hostile server: answers the client's real SPIR queries over an
+// encrypted database whose GM ciphertexts are all 0xff bytes (>= N).
+class FfGmDatabaseNetwork : public net::StarNetwork {
+ public:
+  FfGmDatabaseNetwork(const he::PaillierPublicKey& pk, std::size_t n, std::size_t depth,
+                      std::size_t item_bytes)
+      : net::StarNetwork(1), pir_(pk, n, depth), db_(n, Bytes(item_bytes, 0xff)) {}
+
+  void client_send(std::size_t s, Bytes message) override {
+    if (query_.empty()) query_ = message;
+    net::StarNetwork::client_send(s, std::move(message));
+  }
+  void server_send(std::size_t s, Bytes message) override {
+    Reader honest(message);
+    Writer w;
+    he::GmPublicKey::deserialize(honest).serialize(w);
+    Reader r(query_);
+    std::vector<BytesView> queries;
+    while (!r.done()) queries.push_back(r.bytes_view());
+    crypto::Prg prg("ff-gm-db");
+    for (const Bytes& answer : pir_.answer_bytes_many(
+             queries, db_[0].size(), [&](std::size_t) { return std::span<const Bytes>(db_); },
+             prg)) {
+      w.bytes(answer);
+    }
+    net::StarNetwork::server_send(s, w.take());
+  }
+
+ private:
+  pir::PaillierPir pir_;
+  std::vector<Bytes> db_;
+  Bytes query_;
+};
+
+// §3.3.3 over GM: both parties read GM ciphertexts off the wire, the client
+// from its decoded items and the server from the client's blinded reply;
+// each rejects an all-0xff ciphertext.
+TEST_F(SingleServerSpfeTest, GmSelectionRejectsOutOfRangeCiphertexts) {
+  constexpr std::size_t kN = 16, kBits = 4;
+  crypto::Prg gm_prg("gm-ff");
+  const he::GmPrivateKey gm_sk = he::gm_keygen(gm_prg, 256);
+  const std::size_t gm_bytes = gm_sk.public_key().ciphertext_bytes();
+  const std::vector<std::uint64_t> db(kN, 5);
+  {
+    FfGmDatabaseNetwork net(client_sk_.public_key(), kN, 1, kBits * gm_bytes);
+    EXPECT_THROW(input_selection_encrypted_db_gm(net, 0, db, {1, 9}, kBits, gm_sk, client_sk_,
+                                                 1, client_prg_, server_prg_),
+                 ProtocolError);
+  }
+  {
+    FfFirstCiphertextNetwork net(gm_bytes, 1);
+    EXPECT_THROW(input_selection_encrypted_db_gm(net, 0, db, {1, 9}, kBits, gm_sk, client_sk_,
+                                                 1, client_prg_, server_prg_),
+                 ProtocolError);
+  }
 }
 
 TEST_F(SingleServerSpfeTest, GmSelectionValidation) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/error.h"
+#include "common/serialize.h"
 #include "dbgen/census.h"
+#include "pir/batch_pir.h"
 #include "spfe/stats.h"
 
 namespace spfe::protocols {
@@ -117,6 +121,121 @@ TEST_F(StatsTest, MeanVariancePackage) {
   EXPECT_DOUBLE_EQ(res.mean, 115.0);
   EXPECT_DOUBLE_EQ(res.variance, 125.0);  // population variance of {100,110,120,130}
   EXPECT_DOUBLE_EQ(net.stats().rounds(), 1.0);  // still one round (§4 package)
+}
+
+// Keeps the client's last message.
+class CapturingNet : public net::StarNetwork {
+ public:
+  CapturingNet() : net::StarNetwork(1) {}
+  void client_send(std::size_t s, Bytes message) override {
+    up = message;
+    net::StarNetwork::client_send(s, std::move(message));
+  }
+  Bytes up;
+};
+
+// The package's item width: masked x and masked x^2, ceil(bits(p)/8) bytes
+// each.
+std::size_t packed_item_bytes(std::uint64_t p) {
+  return 2 * ((static_cast<std::size_t>(std::bit_width(p)) + 7) / 8);
+}
+
+TEST_F(StatsTest, MeanVarianceSendsOnePackedReply) {
+  constexpr std::size_t kN = 64, kM = 4, kDepth = 2;
+  const Fp64 field(field::smallest_prime_above(1ull << 30));
+  const auto db = make_db(kN, 10000);
+  const std::vector<std::size_t> indices = {3, 9, 33, 63};
+  const he::PaillierPublicKey& pk = client_sk_.public_key();
+  CapturingNet net;
+  (void)MeanVariancePackage(field, kN, kM, kDepth)
+      .run(net, 0, db, indices, client_sk_, client_prg_, server_prg_);
+
+  // Downlink: one batch-SPIR answer to the client's query over packed items,
+  // then two mask-sum ciphertexts.
+  Reader up(net.up);
+  const Bytes query = up.bytes();
+  const std::size_t item_bytes = packed_item_bytes(field.modulus());
+  Writer expect_down;
+  expect_down.bytes(pir::CuckooBatchPir(pk, kN, kM, kDepth)
+                        .answer_bytes(std::vector<Bytes>(kN, Bytes(item_bytes)), item_bytes,
+                                      query, server_prg_));
+  EXPECT_EQ(net.stats().server_to_client_messages, 1u);
+  EXPECT_EQ(net.stats().server_to_client_bytes,
+            expect_down.data().size() + 2 * pk.ciphertext_bytes());
+
+  // Uplink: unchanged, the query plus m ciphertexts, byte for byte the size
+  // of the weighted-sum protocol's one message.
+  EXPECT_EQ(net.stats().client_to_server_bytes, net.up.size());
+  EXPECT_EQ(up.remaining(), kM * pk.ciphertext_bytes());
+  net::StarNetwork ws_net(1);
+  (void)WeightedSumProtocol(field, kN, kM, kDepth)
+      .run(ws_net, 0, db, indices, std::vector<std::uint64_t>(kM, 1), client_sk_, client_prg_,
+           server_prg_);
+  EXPECT_EQ(net.stats().client_to_server_bytes, ws_net.stats().client_to_server_bytes);
+  EXPECT_DOUBLE_EQ(net.stats().rounds(), 1.0);
+}
+
+TEST_F(StatsTest, MeanVarianceWidestHalves) {
+  // A prime near 2^62 fills both 8-byte halves of a packed item; the values
+  // sit near p so the masked halves and x^2 mod p use every byte.
+  constexpr std::size_t kN = 48, kM = 4;
+  const Fp64 field(field::smallest_prime_above((1ull << 62) - (1ull << 20)));
+  const std::uint64_t p = field.modulus();
+  ASSERT_EQ(packed_item_bytes(p), 16u);
+  std::vector<std::uint64_t> db(kN);
+  for (std::size_t i = 0; i < kN; ++i) db[i] = p - 1 - i * 1'000'003;
+  const std::vector<std::size_t> indices = {0, 7, 30, 47};
+  net::StarNetwork net(1);
+  const MeanVarianceResult res = MeanVariancePackage(field, kN, kM, 2)
+                                     .run(net, 0, db, indices, client_sk_, client_prg_,
+                                          server_prg_);
+  unsigned __int128 sum = 0, sum_sq = 0;
+  for (const std::size_t i : indices) {
+    sum += db[i];
+    sum_sq += static_cast<unsigned __int128>(db[i]) * db[i] % p;
+  }
+  EXPECT_EQ(res.sum, static_cast<std::uint64_t>(sum % p));
+  EXPECT_EQ(res.sum_of_squares, static_cast<std::uint64_t>(sum_sq % p));
+}
+
+// A hostile server: answers the client's real query with one packed reply
+// whose items are all 0xff bytes, so each half is >= p, plus two honest-
+// looking mask-sum ciphertexts.
+class ForgedPackedReplyNet : public net::StarNetwork {
+ public:
+  ForgedPackedReplyNet(const he::PaillierPublicKey& pk, std::size_t n, std::size_t m,
+                       std::size_t item_bytes)
+      : net::StarNetwork(1), pk_(pk), spir_(pk, n, m, 1), db_(n, Bytes(item_bytes, 0xff)) {}
+
+  void client_send(std::size_t s, Bytes message) override {
+    query_ = Reader(message).bytes();
+    net::StarNetwork::client_send(s, std::move(message));
+  }
+  void server_send(std::size_t s, Bytes) override {
+    crypto::Prg prg("forged-packed-reply");
+    Writer w;
+    w.bytes(spir_.answer_bytes(db_, db_[0].size(), query_, prg));
+    for (int k = 0; k < 2; ++k) {
+      w.raw(pk_.encrypt(bignum::BigInt(0), prg).to_bytes_be_padded(pk_.ciphertext_bytes()));
+    }
+    net::StarNetwork::server_send(s, w.take());
+  }
+
+ private:
+  he::PaillierPublicKey pk_;
+  pir::CuckooBatchPir spir_;
+  std::vector<Bytes> db_;
+  Bytes query_;
+};
+
+TEST_F(StatsTest, MeanVarianceRejectsPackedHalvesOutsideField) {
+  constexpr std::size_t kN = 32, kM = 2;
+  const Fp64 field(field::smallest_prime_above(1u << 20));
+  const auto db = make_db(kN, 1000);
+  ForgedPackedReplyNet net(client_sk_.public_key(), kN, kM, packed_item_bytes(field.modulus()));
+  EXPECT_THROW(MeanVariancePackage(field, kN, kM, 1)
+                   .run(net, 0, db, {1, 2}, client_sk_, client_prg_, server_prg_),
+               ProtocolError);
 }
 
 TEST_F(StatsTest, FrequencyCountsKeyword) {
