@@ -329,25 +329,12 @@ BENCHMARK_DEFINE_F(PaillierFixture, MulScalarSum64)(benchmark::State& state) {
 }
 BENCHMARK_REGISTER_F(PaillierFixture, MulScalarSum64)->Arg(512)->Arg(1024);
 
-BENCHMARK_DEFINE_F(PaillierFixture, RerandomizeAll16)(benchmark::State& state) {
-  crypto::Prg prg("rerand-batch");
-  const auto& pk = sk_->public_key();
-  std::vector<BigInt> cts(16);
-  for (std::size_t i = 0; i < cts.size(); ++i) cts[i] = pk.encrypt(BigInt(i), prg);
-  for (auto _ : state) {
-    std::vector<BigInt> batch = cts;
-    pk.rerandomize_all(batch, prg);
-    benchmark::DoNotOptimize(batch);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
-}
-BENCHMARK_REGISTER_F(PaillierFixture, RerandomizeAll16)->Arg(512);
-
 // 64 Paillier encryption factors r^N mod N^2 per iteration: one batched
 // encryption_factors call (bignum pow_batch, 8 lanes at a time on AVX-512
-// IFMA CPUs) versus a scalar loop of encryption_factor. Both run on one
-// thread, so the ratio is the kernel's. Five repetitions; the JSON keeps
-// the mean, median and stddev rows as the spread.
+// IFMA CPUs), the key holder's CRT batch of the same factors, and a scalar
+// loop of encryption_factor. All run on one thread, so the ratios are the
+// kernel's and the CRT split's. Five repetitions; the JSON keeps the mean,
+// median and stddev rows as the spread.
 constexpr std::size_t kFactorBatch = 64;
 
 std::vector<BigInt> factor_units(const he::PaillierPublicKey& pk) {
@@ -367,6 +354,18 @@ BENCHMARK_DEFINE_F(PaillierFixture, EncryptionFactors)(benchmark::State& state) 
   common::ThreadPool::set_global_threads(0);
 }
 BENCHMARK_REGISTER_F(PaillierFixture, EncryptionFactors)
+    ->Arg(512)->Arg(1024)->Arg(2048)
+    ->Repetitions(5)->ReportAggregatesOnly(true)->Unit(benchmark::kMillisecond);
+
+BENCHMARK_DEFINE_F(PaillierFixture, EncryptionFactorsKeyHolder)(benchmark::State& state) {
+  common::ThreadPool::set_global_threads(1);
+  const std::vector<BigInt> rs = factor_units(sk_->public_key());
+  for (auto _ : state) benchmark::DoNotOptimize(sk_->encryption_factors(rs));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kFactorBatch));
+  state.SetLabel(bignum::MontgomeryContext::pow_batch_kernel());
+  common::ThreadPool::set_global_threads(0);
+}
+BENCHMARK_REGISTER_F(PaillierFixture, EncryptionFactorsKeyHolder)
     ->Arg(512)->Arg(1024)->Arg(2048)
     ->Repetitions(5)->ReportAggregatesOnly(true)->Unit(benchmark::kMillisecond);
 

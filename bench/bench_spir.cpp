@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     for (const std::size_t depth : {1u, 2u, 3u}) {
       const pir::PaillierPir p(sk.public_key(), kN, depth);
       pir::PaillierPir::ClientState state;
-      const Bytes query = p.make_query(kN / 3, state, prg);
+      const Bytes query = p.make_query(kN / 3, state, sk, prg);
       bench::Stopwatch s_server;
       const Bytes answer = p.answer_u64(db, query, prg);
       const double server_ms = s_server.ms();
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
 
       pir::PaillierPir::ClientState st_plain, st_cold, st_warm;
       crypto::Prg uprg("e5-qgen");
-      const Bytes q_plain = p.make_query(kN / 3, st_plain, uprg);
+      const Bytes q_plain = p.make_query(kN / 3, st_plain, qsk, uprg);
 
       he::PoolConfig cfg;
       cfg.capacity = kN;  // a depth-1 query over n items consumes n factors
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
       he::PaillierRandomnessPool cold(sk.public_key(), crypto::Prg("e5-qgen-pool"), {});
       crypto::Prg cprg("e5-qgen-batch");
       bench::Stopwatch sw_cold;
-      const Bytes q_cold = p.make_query(indices, st_cold, cprg, &cold);
+      const Bytes q_cold = p.make_query(indices, st_cold, sk, cprg, &cold);
       const double cold_ms = sw_cold.ms();
 
       he::PoolConfig wcfg;
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
       warm.refill();
       crypto::Prg wprg("e5-qgen-batch");
       bench::Stopwatch sw_warm;
-      const Bytes q_warm = p.make_query(indices, st_warm, wprg, &warm);
+      const Bytes q_warm = p.make_query(indices, st_warm, sk, wprg, &warm);
       const double warm_ms = sw_warm.ms();
 
       const bool identical = q_cold == q_warm && warm.stats().misses == 0;
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
       const pir::PaillierPir multi(sk.public_key(), kN, depth);
       pir::PaillierPir::ClientState state;
       crypto::Prg qprg("e5-kernel-query");
-      const Bytes query = multi.make_query(kN / 3, state, qprg);
+      const Bytes query = multi.make_query(kN / 3, state, sk, qprg);
       // Identically seeded server PRGs: the kernels must emit the same bytes.
       crypto::Prg prg_naive("e5-kernel-answer"), prg_multi("e5-kernel-answer");
       bench::Stopwatch sw_naive;
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
     const pir::PaillierPir p(sk.public_key(), kN, 2);
     pir::PaillierPir::ClientState state;
     crypto::Prg qprg("e5-threads-query");
-    const Bytes query = p.make_query(kN / 3, state, qprg);
+    const Bytes query = p.make_query(kN / 3, state, sk, qprg);
     bench::Table table({"threads", "server ms", "speedup", "answer identical"});
     double serial_ms = 0;
     Bytes serial_answer;
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
         bool ok = true;
         for (const std::size_t idx : indices) {
           pir::PaillierPir::ClientState state;
-          const Bytes q = p.make_query(idx, state, prg);
+          const Bytes q = p.make_query(idx, state, sk, prg);
           up += q.size();
           bench::Stopwatch sw;
           const Bytes a = p.answer_u64(db, q, prg);
@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
       for (const std::size_t depth : {1u, 2u}) {  // cuckoo-batched query
         const pir::CuckooBatchPir p(sk.public_key(), n, m, depth);
         pir::CuckooBatchPir::ClientState state;
-        const Bytes q = p.make_query(indices, state, prg);
+        const Bytes q = p.make_query(indices, state, sk, prg);
         bench::Stopwatch sw;
         const Bytes a = p.answer_u64(db, q, prg);
         const double server_ms = sw.ms();
@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
     for (std::size_t j = 0; j < m; ++j) indices.push_back((j * 919 + 77) % n);
     pir::CuckooBatchPir::ClientState state;
     crypto::Prg qprg("e5-batch-waves-query");
-    const Bytes q = p.make_query(indices, state, qprg);
+    const Bytes q = p.make_query(indices, state, wsk, qprg);
     // The per-bucket baseline: the same wire format, bucket by bucket.
     const auto per_bucket = [&](crypto::Prg& sprg) {
       Reader r(q);
@@ -402,7 +402,7 @@ int main(int argc, char** argv) {
     {
       const pir::PaillierPir p(sk.public_key(), n, 2);
       pir::PaillierPir::ClientState state;
-      const Bytes q = p.make_query(n / 3, state, prg);
+      const Bytes q = p.make_query(n / 3, state, sk, prg);
       bench::Stopwatch sw;
       const Bytes a = p.answer_u64(db, q, prg);
       const double ms = sw.ms();

@@ -372,12 +372,37 @@ std::vector<BigInt> MontgomeryContext::pow_batch(std::span<const BigInt> bases,
     throw InvalidArgument("MontgomeryContext::pow_batch: negative exponent");
   }
   obs::count(obs::Op::kModExp, bases.size());
+  return pow_batch_uncounted(bases, public_exp);
+}
+
+std::vector<BigInt> MontgomeryContext::pow_batch_uncounted(std::span<const BigInt> bases,
+                                                           const BigInt& public_exp) const {
   if (ifma::lanes_fit(modulus_) && !public_exp.is_zero()) {
     return ifma::pow_public(modulus_, bases, public_exp);
   }
   std::vector<BigInt> out(bases.size());
   common::parallel_for(bases.size(),
                        [&](std::size_t i) { out[i] = pow_uncounted(bases[i], public_exp); });
+  return out;
+}
+
+// The bases' residues mod m1 and m2 are taken where each half stages its
+// bases (stage_in or to_mont), so they are never materialized here.
+std::vector<BigInt> MontgomeryContext::pow_batch_crt(const MontgomeryContext& m1,
+                                                     const MontgomeryContext& m2,
+                                                     const BigInt& m1_inv,
+                                                     std::span<const BigInt> bases,
+                                                     const BigInt& public_exp) {
+  if (public_exp.is_negative()) {
+    throw InvalidArgument("MontgomeryContext::pow_batch_crt: negative exponent");
+  }
+  obs::count(obs::Op::kModExp, bases.size());
+  const std::vector<BigInt> x1 = m1.pow_batch_uncounted(bases, public_exp);
+  const std::vector<BigInt> x2 = m2.pow_batch_uncounted(bases, public_exp);
+  std::vector<BigInt> out(bases.size());
+  common::parallel_for(bases.size(), [&](std::size_t i) {
+    out[i] = crt_combine(x1[i], m1.modulus_, x2[i], m2.modulus_, m1_inv);
+  });
   return out;
 }
 

@@ -72,6 +72,15 @@ class MontgomeryContext {
   // exponent's bit length is public. Elsewhere it loops pow(). Counts one
   // kModExp per base.
   std::vector<BigInt> pow_batch_secret(std::span<const BigInt> bases, const BigInt& exp) const;
+  // out[i] = bases[i]^public_exp mod m1*m2 for coprime m1, m2 held by the
+  // caller (a Paillier key's p^2 and q^2): pow_batch to the same public
+  // exponent under each of m1 and m2, at half the width, recombined with
+  // crt_combine and m1_inv = m1^{-1} mod m2. Equal to pow_batch under m1*m2
+  // element by element. Counts one kModExp per base, as that pow_batch does.
+  static std::vector<BigInt> pow_batch_crt(const MontgomeryContext& m1,
+                                           const MontgomeryContext& m2, const BigInt& m1_inv,
+                                           std::span<const BigInt> bases,
+                                           const BigInt& public_exp);
   // The kernel pow_batch dispatches to on this CPU: "avx512ifma" or
   // "portable".
   static const char* pow_batch_kernel();
@@ -91,8 +100,11 @@ class MontgomeryContext {
   std::size_t limbs() const { return n_.size(); }
 
  private:
-  // pow() without the op count (pow_batch counts once per base itself).
+  // pow() and pow_batch() without the op count (the batches count once per
+  // base themselves).
   BigInt pow_uncounted(const BigInt& base, const BigInt& exp) const;
+  std::vector<BigInt> pow_batch_uncounted(std::span<const BigInt> bases,
+                                          const BigInt& public_exp) const;
   // Montgomery reduction of a double-width (2k-limb) product into [0, n).
   std::vector<std::uint64_t> mont_reduce(std::vector<std::uint64_t> t) const;
 

@@ -55,15 +55,6 @@ std::vector<BigInt> PaillierPublicKey::encryption_factors(std::span<const BigInt
   return mont_n2_.pow_batch(rs, n_);
 }
 
-std::vector<BigInt> PaillierPublicKey::encrypt_all(std::span<const BigInt> ms,
-                                                   crypto::Prg& prg) const {
-  std::vector<BigInt> rs(ms.size());
-  for (BigInt& r : rs) r = random_unit(prg);
-  std::vector<BigInt> cts = encryption_factors(rs);
-  for (std::size_t i = 0; i < cts.size(); ++i) cts[i] = encrypt_with_factor(ms[i], cts[i]);
-  return cts;
-}
-
 BigInt PaillierPublicKey::encrypt_with_factor(const BigInt& m, const BigInt& rn) const {
   obs::count(obs::Op::kPaillierEncrypt);
   const BigInt m_red = m.mod_floor(n_);
@@ -143,13 +134,6 @@ BigInt PaillierPublicKey::rerandomize_with_randomness(const BigInt& c, const Big
   return rerandomize_with_factor(c, encryption_factor(r));
 }
 
-void PaillierPublicKey::rerandomize_all(std::span<BigInt> cts, crypto::Prg& prg) const {
-  std::vector<BigInt> rs(cts.size());
-  for (BigInt& r : rs) r = random_unit(prg);
-  const std::vector<BigInt> factors = encryption_factors(rs);
-  for (std::size_t i = 0; i < cts.size(); ++i) cts[i] = rerandomize_with_factor(cts[i], factors[i]);
-}
-
 BigInt PaillierPublicKey::parse_ciphertext(Reader& r) const {
   BigInt c = BigInt::from_bytes_be(r.raw(ciphertext_bytes()));
   if (c >= n2_) throw ProtocolError("Paillier: ciphertext out of range");
@@ -201,6 +185,7 @@ PaillierPrivateKey::PaillierPrivateKey(BigInt p, BigInt q)
   hp_ = bignum::mod_inverse(bignum::mod_mul(ep_, q_, p_), p_);
   hq_ = bignum::mod_inverse(bignum::mod_mul(eq_, p_, q_), q_);
   pinv_q_ = bignum::mod_inverse(p_, q_);
+  p2inv_q2_ = bignum::mod_inverse(p2_, q2_);
 }
 
 void PaillierPrivateKey::check_ciphertext(const BigInt& c) const {
@@ -249,6 +234,23 @@ std::vector<BigInt> PaillierPrivateKey::decrypt_all(std::span<const BigInt> cts)
   std::vector<BigInt> out(cts.size());
   common::parallel_for(cts.size(), [&](std::size_t i) { out[i] = crt_finish(up[i], uq[i]); });
   return out;
+}
+
+// The key holder's encryption factors. The exponent N is public, so both
+// halves run pow_batch's sliding window; the secret bases r mod p^2, r mod
+// q^2 and the secret moduli get the posture of crt_residues/crt_finish
+// (DESIGN.md "Constant-time policy").
+std::vector<BigInt> PaillierPrivateKey::encryption_factors(std::span<const BigInt> rs) const {
+  return bignum::MontgomeryContext::pow_batch_crt(mont_p2_, mont_q2_, p2inv_q2_, rs, pk_.n());
+}
+
+std::vector<BigInt> PaillierPrivateKey::encrypt_all(std::span<const BigInt> ms,
+                                                    crypto::Prg& prg) const {
+  std::vector<BigInt> rs(ms.size());
+  for (BigInt& r : rs) r = pk_.random_unit(prg);
+  std::vector<BigInt> cts = encryption_factors(rs);
+  for (std::size_t i = 0; i < cts.size(); ++i) cts[i] = pk_.encrypt_with_factor(ms[i], cts[i]);
+  return cts;
 }
 
 BigInt PaillierPrivateKey::decrypt_signed(const BigInt& c) const {

@@ -52,13 +52,9 @@ class PaillierPublicKey {
   // encryption_factor(rs[i]) for every r, computed as one batched
   // exponentiation to the public exponent N (bignum pow_batch: eight at a
   // time on AVX-512 IFMA CPUs, fanned out across the global thread pool).
+  // A key holder computes the same factors faster with
+  // PaillierPrivateKey::encryption_factors.
   std::vector<bignum::BigInt> encryption_factors(std::span<const bignum::BigInt> rs) const;
-  // Encrypts every plaintext with fresh randomness: the units are drawn
-  // serially from `prg` (the order of ms.size() encrypt() calls), then the
-  // factors are computed in one batch. Element i equals encrypt(ms[i], prg)
-  // in that serial order.
-  std::vector<bignum::BigInt> encrypt_all(std::span<const bignum::BigInt> ms,
-                                          crypto::Prg& prg) const;
   // Encrypts m with a precomputed factor rn = encryption_factor(r): one
   // modular multiplication. encrypt_with_factor(m, encryption_factor(r)) ==
   // encrypt_with_randomness(m, r).
@@ -101,10 +97,6 @@ class PaillierPublicKey {
   // pre-draw randomness serially and fan the modexps out across threads.
   bignum::BigInt rerandomize_with_randomness(const bignum::BigInt& c,
                                              const bignum::BigInt& r) const;
-  // Rerandomizes every ciphertext in place: randomness is pre-drawn
-  // serially (PRG order matches a fully serial run), the factors come from
-  // one encryption_factors batch.
-  void rerandomize_all(std::span<bignum::BigInt> cts, crypto::Prg& prg) const;
 
   // Reads one fixed-width ciphertext off the wire and checks it is < N^2;
   // throws ProtocolError for an out-of-range value (e.g. all-0xff bytes),
@@ -144,6 +136,19 @@ class PaillierPrivateKey {
   // encode signed differences.
   bignum::BigInt decrypt_signed(const bignum::BigInt& c) const;
 
+  // Element i equals public_key().encryption_factor(rs[i]), computed by
+  // CRT: (r mod p^2)^N and (r mod q^2)^N, each a pow_batch to the public
+  // exponent N at half the width of N^2, recombined with (p^2)^{-1} mod q^2.
+  // Counts one kModExp per factor, as the public-key batch does.
+  std::vector<bignum::BigInt> encryption_factors(std::span<const bignum::BigInt> rs) const;
+  // Encrypts every plaintext under public_key() with fresh randomness: the
+  // units are drawn serially from `prg` (the order of ms.size()
+  // public_key().encrypt() calls), then the factors are computed in one
+  // encryption_factors batch. Element i equals public_key().encrypt(ms[i],
+  // prg) in that serial order.
+  std::vector<bignum::BigInt> encrypt_all(std::span<const bignum::BigInt> ms,
+                                          crypto::Prg& prg) const;
+
  private:
   void check_ciphertext(const bignum::BigInt& c) const;
   // c mod p^2 and c mod q^2 after the range check; CryptoError when p or q
@@ -164,6 +169,7 @@ class PaillierPrivateKey {
   bignum::BigInt hp_;  // ((p-1) * q)^{-1} mod p
   bignum::BigInt hq_;  // ((q-1) * p)^{-1} mod q
   bignum::BigInt pinv_q_;  // p^{-1} mod q (CRT recombination)
+  bignum::BigInt p2inv_q2_;  // (p^2)^{-1} mod q^2 (encryption factor recombination)
 };
 
 struct PaillierKeyPair {

@@ -94,7 +94,7 @@ class PaillierRandomnessPool {
   bignum::BigInt encrypt(const bignum::BigInt& m);
   // rerandomize(c) == pk.rerandomize(c, prg) for the pool's stream.
   bignum::BigInt rerandomize(const bignum::BigInt& c);
-  // Pooled counterpart of pk.rerandomize_all: factors are drawn serially in
+  // Rerandomizes every ciphertext in place: factors are drawn serially in
   // stream order, the (cheap) multiplications fan out across the pool.
   void rerandomize_all(std::span<bignum::BigInt> cts);
 

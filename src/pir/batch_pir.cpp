@@ -94,13 +94,12 @@ std::vector<std::size_t> CuckooBatchPir::place(const CuckooParams& params,
 }
 
 Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, ClientState& state,
-                                 crypto::Prg& prg) const {
-  return make_query(indices, state, prg, nullptr);
-}
-
-Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, ClientState& state,
-                                 crypto::Prg& prg, he::PaillierRandomnessPool* pool) const {
+                                 const he::PaillierPrivateKey& sk, crypto::Prg& prg,
+                                 he::PaillierRandomnessPool* pool) const {
   SPFE_OBS_SPAN("batch_pir.make_query");
+  if (!(sk.public_key() == pk_)) {
+    throw InvalidArgument("CuckooBatchPir: private key is for a different public key");
+  }
   if (pool != nullptr && !(pool->public_key() == pk_)) pool = nullptr;
   if (indices.size() != m_) throw InvalidArgument("CuckooBatchPir: wrong batch size");
   for (const std::size_t i : indices) {
@@ -146,7 +145,7 @@ Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, Client
       position = static_cast<std::size_t>(it - contents[b].begin());
     }
     w.bytes(pool != nullptr ? bucket_pir.make_query(position, state.pir_states[b], *pool)
-                            : bucket_pir.make_query(position, state.pir_states[b], prg));
+                            : bucket_pir.make_query(position, state.pir_states[b], sk, prg));
   }
   return w.take();
 }

@@ -61,16 +61,16 @@ class CuckooBatchPir {
 
   // Client: places the m indices (distinct or not — duplicates are served
   // from different buckets) and emits one message: seed + per-bucket query.
-  Bytes make_query(const std::vector<std::size_t>& indices, ClientState& state,
-                   crypto::Prg& prg) const;
-  // Pooled variant: `prg` still drives the hash seed and cuckoo placement,
-  // but the per-bucket encryptions draw precomputed factors from `pool`
-  // (ignored when null or keyed differently — then identical to the
-  // three-argument overload). Pooling splits the randomness into two
+  // `prg` drives the hash seed and cuckoo placement, then each bucket's
+  // PaillierPir::make_query under `sk`, which must be this PIR's key
+  // (InvalidArgument otherwise). With a `pool` for this key the per-bucket
+  // encryptions draw precomputed factors from it instead (a pool keyed
+  // differently is ignored). Pooling splits the randomness into two
   // streams, so pooled and unpooled transcripts differ; pooled transcripts
   // are deterministic in the two seeds and independent of pool warmth.
   Bytes make_query(const std::vector<std::size_t>& indices, ClientState& state,
-                   crypto::Prg& prg, he::PaillierRandomnessPool* pool) const;
+                   const he::PaillierPrivateKey& sk, crypto::Prg& prg,
+                   he::PaillierRandomnessPool* pool = nullptr) const;
 
   // Server: u64 item database. The buckets are answered in one
   // PaillierPir::answer_u64_many call, each bucket's items built when its

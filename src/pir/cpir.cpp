@@ -60,11 +60,14 @@ std::size_t PaillierPir::chunk_bytes() const {
 }
 
 Bytes PaillierPir::make_query(std::size_t /*secret*/ index, ClientState& state,
-                              crypto::Prg& prg) const {
+                              const he::PaillierPrivateKey& sk, crypto::Prg& prg) const {
+  if (!(sk.public_key() == pk_)) {
+    throw InvalidArgument("PaillierPir: private key is for a different public key");
+  }
   return make_query_impl(index, state, [&](std::size_t count) {
     std::vector<BigInt> rs(count);
     for (BigInt& r : rs) r = pk_.random_unit(prg);
-    return pk_.encryption_factors(rs);
+    return sk.encryption_factors(rs);
   });
 }
 

@@ -43,8 +43,13 @@ class PaillierPir {
     std::vector<std::size_t> positions;  // per-dimension coordinate
   };
 
-  // Client: encrypted selector per dimension (sum(dims) ciphertexts).
-  Bytes make_query(std::size_t index, ClientState& state, crypto::Prg& prg) const;
+  // Client: encrypted selector per dimension (sum(dims) ciphertexts). The
+  // client holds the key it decodes with, so the selectors' encryption
+  // factors come from sk.encryption_factors (by CRT); units are drawn from
+  // `prg` in selector order. `sk` must be this PIR's key (InvalidArgument
+  // otherwise).
+  Bytes make_query(std::size_t index, ClientState& state, const he::PaillierPrivateKey& sk,
+                   crypto::Prg& prg) const;
   // Pooled client query: encryption factors come from the precomputation
   // pool (he/precomp.h). Byte-identical to the Prg overload when the pool's
   // stream is seeded with the same seed, whatever the pool's warmth. The

@@ -102,7 +102,7 @@ SelectedShares input_selection_per_item(net::StarNetwork& net, std::size_t serve
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
       w.bytes(pool != nullptr ? spir.make_query(indices[j], states[j], *pool)
-                              : spir.make_query(indices[j], states[j], client_prg));
+                              : spir.make_query(indices[j], states[j], client_sk, client_prg));
     }
     net.client_send(server_id, w.take());
   }
@@ -156,14 +156,17 @@ SelectedShares input_selection_poly_mask_client_key(
   pir::CuckooBatchPir::ClientState pir_state;
   {
     Writer w;
+    std::vector<BigInt> powers;
+    powers.reserve(m * m);
     for (std::size_t j = 0; j < m; ++j) {
-      for (std::size_t k = 0; k < m; ++k) {
-        const BigInt power(pow_mod_u64(indices[j] + 1, k, p));
-        write_ct(w, pk,
-                 pool != nullptr ? pool->encrypt(power) : pk.encrypt(power, client_prg));
-      }
+      for (std::size_t k = 0; k < m; ++k) powers.emplace_back(pow_mod_u64(indices[j] + 1, k, p));
     }
-    w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
+    if (pool != nullptr) {
+      for (const BigInt& power : powers) write_ct(w, pk, pool->encrypt(power));
+    } else {
+      for (const BigInt& ct : client_sk.encrypt_all(powers, client_prg)) write_ct(w, pk, ct);
+    }
+    w.bytes(spir.make_query(indices, pir_state, client_sk, client_prg, pool));
     net.client_send(server_id, w.take());
   }
 
@@ -289,7 +292,8 @@ SelectedShares input_selection_poly_mask_server_key(
       acc = pk2.add(acc, pool2 != nullptr ? pool2->encrypt(rho) : pk2.encrypt(rho, client_prg));
       write_ct(w, pk2, acc);
     }
-    w.bytes(spir.make_query(indices, pir_state, client_prg, pool_for(precomp, client_sk.public_key())));
+    w.bytes(spir.make_query(indices, pir_state, client_sk, client_prg,
+                            pool_for(precomp, client_sk.public_key())));
     net.client_send(server_id, w.take());
   }
 
@@ -354,7 +358,7 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
 
   pir::CuckooBatchPir::ClientState pir_state;
   net.client_send(server_id,
-                  spir.make_query(indices, pir_state, client_prg,
+                  spir.make_query(indices, pir_state, client_sk, client_prg,
                                   pool_for(precomp, client_sk.public_key())));
 
   // Server: encrypted database (prepared once), one batched SPIR answer.
@@ -362,7 +366,7 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
     const Bytes query = net.server_receive(server_id);
     std::vector<BigInt> plain(n);
     for (std::size_t i = 0; i < n; ++i) plain[i] = BigInt(database[i]);
-    const std::vector<BigInt> cts = server_pk.encrypt_all(plain, server_prg);
+    const std::vector<BigInt> cts = server_sk.encrypt_all(plain, server_prg);
     std::vector<Bytes> enc_db(n);
     for (std::size_t i = 0; i < n; ++i) enc_db[i] = cts[i].to_bytes_be_padded(item_bytes);
     Writer w;
@@ -439,7 +443,7 @@ SelectedXorShares input_selection_encrypted_db_gm(
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
       w.bytes(pool != nullptr ? spir.make_query(indices[j], states[j], *pool)
-                              : spir.make_query(indices[j], states[j], client_prg));
+                              : spir.make_query(indices[j], states[j], client_sk, client_prg));
     }
     net.client_send(server_id, w.take());
   }

@@ -58,7 +58,9 @@ std::uint64_t PsmSumSpfeSingleServer::run(net::StarNetwork& net,
   std::vector<pir::PaillierPir::ClientState> states(m_);
   {
     Writer w;
-    for (std::size_t j = 0; j < m_; ++j) w.bytes(spir.make_query(indices[j], states[j], client_prg));
+    for (std::size_t j = 0; j < m_; ++j) {
+      w.bytes(spir.make_query(indices[j], states[j], sk, client_prg));
+    }
     net.client_send(0, w.take());
   }
 
@@ -115,7 +117,9 @@ std::vector<bool> PsmYaoSpfeSingleServer::run(net::StarNetwork& net,
   std::vector<pir::PaillierPir::ClientState> states(m_);
   {
     Writer w;
-    for (std::size_t j = 0; j < m_; ++j) w.bytes(spir.make_query(indices[j], states[j], client_prg));
+    for (std::size_t j = 0; j < m_; ++j) {
+      w.bytes(spir.make_query(indices[j], states[j], sk, client_prg));
+    }
     net.client_send(0, w.take());
   }
 
@@ -244,7 +248,7 @@ bool PsmBpSpfeSingleServer::run(net::StarNetwork& net, std::span<const std::uint
   {
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
-      w.bytes(spir.make_query(indices[j], states[j], client_prg));
+      w.bytes(spir.make_query(indices[j], states[j], sk, client_prg));
     }
     net.client_send(0, w.take());
   }

@@ -27,11 +27,12 @@ void write_ct(Writer& w, const he::PaillierPublicKey& pk, const BigInt& ct) {
   w.raw(ct.to_bytes_be_padded(pk.ciphertext_bytes()));
 }
 
-// E(m) for each plaintext: from `pool` when one serves this key, else with
-// units drawn serially from `prg` and the factors computed in one batch.
-std::vector<BigInt> encrypt_each(const he::PaillierPublicKey& pk, std::span<const BigInt> plain,
+// E(m) under sk's public key for each plaintext: from `pool` when one
+// serves this key, else with units drawn serially from `prg` and the
+// factors computed in one key-holder batch.
+std::vector<BigInt> encrypt_each(const he::PaillierPrivateKey& sk, std::span<const BigInt> plain,
                                  crypto::Prg& prg, he::PaillierRandomnessPool* pool) {
-  if (pool == nullptr) return pk.encrypt_all(plain, prg);
+  if (pool == nullptr) return sk.encrypt_all(plain, prg);
   std::vector<BigInt> cts;
   cts.reserve(plain.size());
   for (const BigInt& m : plain) cts.push_back(pool->encrypt(m));
@@ -106,7 +107,7 @@ std::uint64_t WeightedSumProtocol::run(net::StarNetwork& net, std::size_t server
   pir::CuckooBatchPir::ClientState pir_state;
   {
     Writer w;
-    w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
+    w.bytes(spir.make_query(indices, pir_state, client_sk, client_prg, pool));
     std::vector<BigInt> c(m_);
     for (std::size_t k = 0; k < m_; ++k) {
       std::uint64_t c_k = 0;
@@ -118,7 +119,7 @@ std::uint64_t WeightedSumProtocol::run(net::StarNetwork& net, std::size_t server
       }
       c[k] = BigInt(c_k);
     }
-    for (const BigInt& ct : encrypt_each(pk, c, client_prg, pool)) write_ct(w, pk, ct);
+    for (const BigInt& ct : encrypt_each(client_sk, c, client_prg, pool)) write_ct(w, pk, ct);
     net.client_send(server_id, w.take());
   }
 
@@ -188,7 +189,7 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
   pir::CuckooBatchPir::ClientState pir_state;
   {
     Writer w;
-    w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
+    w.bytes(spir.make_query(indices, pir_state, client_sk, client_prg, pool));
     std::vector<BigInt> c(m_);
     for (std::size_t k = 0; k < m_; ++k) {
       std::uint64_t c_k = 0;
@@ -199,7 +200,7 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
       }
       c[k] = BigInt(c_k);
     }
-    for (const BigInt& ct : encrypt_each(pk, c, client_prg, pool)) write_ct(w, pk, ct);
+    for (const BigInt& ct : encrypt_each(client_sk, c, client_prg, pool)) write_ct(w, pk, ct);
     net.client_send(server_id, w.take());
   }
 
@@ -433,7 +434,7 @@ std::size_t FrequencyProtocol::run(net::StarNetwork& net, std::size_t server_id,
     for (std::size_t j = 0; j < m_; ++j) {
       t[j] = BigInt(add_mod(shares.client_shares[j], p - keyword % p, p));
     }
-    for (const BigInt& ct : encrypt_each(pk, t, client_prg, pool)) write_ct(w, pk, ct);
+    for (const BigInt& ct : encrypt_each(client_sk, t, client_prg, pool)) write_ct(w, pk, ct);
     net.client_send(server_id, w.take());
   }
 

@@ -324,7 +324,7 @@ TEST_P(BatchedPirAnswers, EqualSequentialAnswers) {
       dbs[i][i % kN] = 0;  // a zero item: exponent 0
       want[i] = data.uniform(kN);
       pir::PaillierPir::ClientState state;
-      queries[i] = pir.make_query(want[i], state, client);
+      queries[i] = pir.make_query(want[i], state, sk, client);
     }
     const std::vector<BytesView> views(queries.begin(), queries.end());
 

@@ -302,6 +302,36 @@ TEST(CtHarness, PaillierDecryptAllFixedVsRandom) {
       << " fixed=" << result.mean_fixed << "ns random=" << result.mean_random << "ns";
 }
 
+// The key holder's encryption factors: the units r are secret, and so are
+// their residues mod p^2 and q^2 and the moduli themselves; the exponent N
+// is public. A fixed batch of eight units and eight fresh ones per
+// measurement must be indistinguishable through both pow_batch halves and
+// the CRT recombination.
+TEST(CtHarness, PaillierKeyHolderFactorsFixedVsRandom) {
+  ::testing::Test::RecordProperty("pow_batch_kernel",
+                                  bignum::MontgomeryContext::pow_batch_kernel());
+  common::ThreadPool::set_global_threads(1);
+  crypto::Prg prg("ct-harness-paillier-factors");
+  const he::PaillierPrivateKey sk = he::paillier_keygen(prg, 256);
+  const he::PaillierPublicKey& pk = sk.public_key();
+  std::vector<BigInt> fixed_batch;
+  for (int lane = 0; lane < 8; ++lane) fixed_batch.push_back(pk.random_unit(prg));
+  std::vector<BigInt> rs;
+  const auto result = run_experiment(
+      prg,
+      [&](int cls) {
+        rs.clear();
+        for (int lane = 0; lane < 8; ++lane) rs.push_back(pk.random_unit(prg));
+        if (cls == 0) rs = fixed_batch;
+      },
+      [&] { return sk.encryption_factors(rs)[0].low_u64(); });
+  common::ThreadPool::set_global_threads(0);
+  EXPECT_LT(std::abs(result.t), kSmokeThreshold)
+      << "key-holder encryption factor timing distinguishes fixed vs random units: t="
+      << result.t << " fixed=" << result.mean_fixed << "ns random=" << result.mean_random
+      << "ns";
+}
+
 // The comb-table exponentiation behind the offline/online split: every
 // window does a masked full-table scan plus an unconditional mont_mul, so
 // a fixed exponent and a fresh random one of the same (policy-public) bit

@@ -4,6 +4,8 @@
 #include "common/error.h"
 #include "he/goldwasser_micali.h"
 #include "he/paillier.h"
+#include "kernel_arms.h"
+#include "obs/obs.h"
 #include "paillier_reference.h"
 
 namespace spfe::he {
@@ -225,11 +227,11 @@ TEST_F(PaillierTest, MulScalarSumMatrixMatchesColumns) {
   }
 }
 
-TEST_F(PaillierTest, RerandomizeAllPreservesPlaintextsAndPrgOrder) {
+TEST_F(PaillierTest, RerandomizeWithFactorsPreservesPlaintextsAndPrgOrder) {
   const auto& pk = sk_.public_key();
   std::vector<BigInt> cts(6);
   for (std::size_t i = 0; i < cts.size(); ++i) cts[i] = pk.encrypt(BigInt(i * 11), prg_);
-  // Reference: the exact serial draw-then-apply order rerandomize_all commits to.
+  // Reference: each ciphertext rerandomized with its own unit, drawn in turn.
   std::vector<BigInt> expected = cts;
   {
     crypto::Prg serial("rerand-all");
@@ -239,8 +241,15 @@ TEST_F(PaillierTest, RerandomizeAllPreservesPlaintextsAndPrgOrder) {
       expected[i] = pk.rerandomize_with_randomness(expected[i], rs[i]);
     }
   }
+  // Batched: the units drawn serially, the factors from one
+  // encryption_factors call, each applied with rerandomize_with_factor.
   crypto::Prg batch("rerand-all");
-  pk.rerandomize_all(cts, batch);
+  std::vector<BigInt> rs(cts.size());
+  for (auto& r : rs) r = pk.random_unit(batch);
+  const std::vector<BigInt> factors = pk.encryption_factors(rs);
+  for (std::size_t i = 0; i < cts.size(); ++i) {
+    cts[i] = pk.rerandomize_with_factor(cts[i], factors[i]);
+  }
   EXPECT_EQ(cts, expected);
   for (std::size_t i = 0; i < cts.size(); ++i) {
     EXPECT_EQ(sk_.decrypt(cts[i]), BigInt(i * 11)) << i;
@@ -252,7 +261,7 @@ TEST_F(PaillierTest, EncryptAllMatchesSerialEncrypt) {
   std::vector<BigInt> ms;
   for (std::size_t i = 0; i < 11; ++i) ms.push_back(BigInt(i * 1000 + 7));
   crypto::Prg serial("encrypt-all"), batch("encrypt-all");
-  const std::vector<BigInt> cts = pk.encrypt_all(ms, batch);
+  const std::vector<BigInt> cts = sk_.encrypt_all(ms, batch);
   ASSERT_EQ(cts.size(), ms.size());
   for (std::size_t i = 0; i < ms.size(); ++i) EXPECT_EQ(cts[i], pk.encrypt(ms[i], serial)) << i;
   EXPECT_EQ(batch.u64(), serial.u64());  // same number of draws
@@ -260,6 +269,57 @@ TEST_F(PaillierTest, EncryptAllMatchesSerialEncrypt) {
   for (std::size_t i = 0; i < 9; ++i) rs.push_back(pk.random_unit(serial));
   const std::vector<BigInt> factors = pk.encryption_factors(rs);
   for (std::size_t i = 0; i < rs.size(); ++i) EXPECT_EQ(factors[i], pk.encryption_factor(rs[i]));
+  EXPECT_EQ(sk_.encryption_factors(rs), factors);
+}
+
+// The key holder's CRT factors equal the public-key batch element by
+// element: batch sizes 0-17 (ragged and full lane groups) over units that
+// include 1, N-1 and the primes themselves (whose factor is 0 mod p^2 or
+// q^2), at the key sizes the protocols and benches use, with one kModExp
+// per factor.
+void key_holder_factors_equal_public_factors() {
+  for (const std::size_t bits : {512, 768, 1024, 2048}) {
+    crypto::Prg prg("key-holder-factors/" + std::to_string(bits));
+    const reference::PaillierPrimes primes = reference::paillier_primes(prg, bits);
+    const PaillierPrivateKey sk(primes.p, primes.q);
+    const PaillierPublicKey& pk = sk.public_key();
+    std::vector<BigInt> rs = {BigInt(1), pk.n() - BigInt(1), primes.p, primes.q};
+    while (rs.size() < 17) rs.push_back(pk.random_unit(prg));
+    const std::vector<BigInt> expected = pk.encryption_factors(rs);
+    // Every size at the smaller keys; the lane-group edges at the larger.
+    std::vector<std::size_t> sizes = {0, 1, 7, 8, 9, 16, 17};
+    if (bits <= 768) {
+      sizes.clear();
+      for (std::size_t size = 0; size <= 17; ++size) sizes.push_back(size);
+    }
+    for (const std::size_t size : sizes) {
+      // A window that rotates through rs, so each unit lands in each lane.
+      std::vector<BigInt> batch, want;
+      for (std::size_t i = 0; i < size; ++i) {
+        batch.push_back(rs[(i + size) % rs.size()]);
+        want.push_back(expected[(i + size) % rs.size()]);
+      }
+      obs::Tracer& tracer = obs::Tracer::global();
+      tracer.set_enabled(true);
+      tracer.reset();
+      const std::vector<BigInt> got = sk.encryption_factors(batch);
+      const std::uint64_t modexps = tracer.totals()[static_cast<std::size_t>(obs::Op::kModExp)];
+      tracer.set_enabled(false);
+      tracer.reset();
+      EXPECT_EQ(got, want) << bits << " bits, " << size << " factors";
+      EXPECT_EQ(modexps, size) << bits << " bits";
+    }
+  }
+}
+
+TEST_F(PaillierTest, KeyHolderFactorsEqualPublicFactors) {
+  SPFE_REQUIRE_LANE_ARM();
+  key_holder_factors_equal_public_factors();
+}
+
+TEST(PaillierPortableArm, KeyHolderFactorsEqualPublicFactors) {
+  const bignum::ifma::ScopedPortableArm arm;
+  key_holder_factors_equal_public_factors();
 }
 
 TEST_F(PaillierTest, ParseCiphertextChecksRange) {

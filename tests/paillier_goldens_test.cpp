@@ -171,7 +171,7 @@ TEST_P(PaillierGoldenTest, PaillierPirQueriesAndAnswers) {
       pir::PaillierPir::ClientState state;
       Bytes query, answer;
       const obs::OpCounts ops = metered([&] {
-        query = pir.make_query(17, state, client_prg);
+        query = pir.make_query(17, state, sk, client_prg);
         answer = pir.answer_u64(db, query, server_prg);
       });
       expect_golden(name + "/query", hex_digest(query));
@@ -195,7 +195,7 @@ TEST_P(PaillierGoldenTest, PaillierPirQueriesAndAnswers) {
     pir::PaillierPir::ClientState state;
     Bytes query, answer;
     const obs::OpCounts ops = metered([&] {
-      query = pir.make_query(5, state, client_prg);
+      query = pir.make_query(5, state, sk, client_prg);
       answer = pir.answer_bytes(db, item_bytes, query, server_prg);
     });
     expect_golden(name + "/query", hex_digest(query));

@@ -196,7 +196,7 @@ TEST_F(PaillierPirTest, DepthOneRetrieves) {
   const auto db = make_db(kN, 1u << 30);
   for (const std::size_t i : {0u, 7u, 19u}) {
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(i, state, prg_);
+    const Bytes q = pir.make_query(i, state, sk_, prg_);
     const Bytes a = pir.answer_u64(db, q, prg_);
     EXPECT_EQ(pir.decode_u64(sk_, a), db[i]) << i;
   }
@@ -208,7 +208,7 @@ TEST_F(PaillierPirTest, DepthTwoRetrieves) {
   const auto db = make_db(kN, 1u << 30);
   for (const std::size_t i : {0u, 1u, 6u, 7u, 23u, 49u}) {
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(i, state, prg_);
+    const Bytes q = pir.make_query(i, state, sk_, prg_);
     const Bytes a = pir.answer_u64(db, q, prg_);
     EXPECT_EQ(pir.decode_u64(sk_, a), db[i]) << i;
   }
@@ -220,7 +220,7 @@ TEST_F(PaillierPirTest, DepthThreeRetrieves) {
   const auto db = make_db(kN, 1000000);
   for (const std::size_t i : {0u, 13u, 29u}) {
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(i, state, prg_);
+    const Bytes q = pir.make_query(i, state, sk_, prg_);
     const Bytes a = pir.answer_u64(db, q, prg_);
     EXPECT_EQ(pir.decode_u64(sk_, a), db[i]) << i;
   }
@@ -234,7 +234,7 @@ TEST_F(PaillierPirTest, ByteItemsRoundTrip) {
   for (auto& item : db) item = data.bytes(kItem);
   for (const std::size_t i : {0u, 5u, 11u}) {
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(i, state, prg_);
+    const Bytes q = pir.make_query(i, state, sk_, prg_);
     const Bytes a = pir.answer_bytes(db, kItem, q, prg_);
     EXPECT_EQ(pir.decode_bytes(sk_, kItem, a), db[i]) << i;
   }
@@ -249,7 +249,7 @@ TEST_F(PaillierPirTest, FoldKernelsByteIdenticalU64) {
   for (const std::size_t depth : {1u, 2u, 3u}) {
     const PaillierPir pir(sk_.public_key(), kN, depth);
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(23, state, prg_);
+    const Bytes q = pir.make_query(23, state, sk_, prg_);
     crypto::Prg s1("fold-kernel-server"), s2("fold-kernel-server");
     const Bytes a_multi = pir.answer_u64(db, q, s1);
     const Bytes a_naive = reference::naive_answer_u64(pir, db, q, s2);
@@ -265,7 +265,7 @@ TEST_F(PaillierPirTest, FoldKernelsByteIdenticalBytesMultiChunk) {
   crypto::Prg data("bytedata-kernel");
   for (auto& item : db) item = data.bytes(kItem);
   PaillierPir::ClientState state;
-  const Bytes q = pir.make_query(5, state, prg_);
+  const Bytes q = pir.make_query(5, state, sk_, prg_);
   crypto::Prg s1("fold-kernel-bytes"), s2("fold-kernel-bytes");
   const Bytes a_multi = pir.answer_bytes(db, kItem, q, s1);
   const Bytes a_naive = reference::naive_answer_bytes(pir, db, kItem, q, s2);
@@ -278,8 +278,8 @@ TEST_F(PaillierPirTest, DepthTwoCommunicationBeatsDepthOne) {
   const PaillierPir d1(sk_.public_key(), kN, 1);
   const PaillierPir d2(sk_.public_key(), kN, 2);
   PaillierPir::ClientState s1, s2;
-  const Bytes q1 = d1.make_query(3, s1, prg_);
-  const Bytes q2 = d2.make_query(3, s2, prg_);
+  const Bytes q1 = d1.make_query(3, s1, sk_, prg_);
+  const Bytes q2 = d2.make_query(3, s2, sk_, prg_);
   EXPECT_LT(q2.size(), q1.size() / 3);
 }
 
@@ -310,7 +310,7 @@ TEST_F(PaillierPirTest, RejectsOutOfRangeSelector) {
   EXPECT_THROW(pir.answer_u64(db, all_ff, prg_), ProtocolError);
 
   PaillierPir::ClientState state;
-  Bytes query = pir.make_query(3, state, prg_);
+  Bytes query = pir.make_query(3, state, sk_, prg_);
   const Bytes n2 = sk_.public_key().n_squared().to_bytes_be_padded(ct_bytes);
   std::copy(n2.begin(), n2.end(), query.begin() + static_cast<std::ptrdiff_t>(5 * ct_bytes));
   EXPECT_THROW(pir.answer_u64(db, query, prg_), ProtocolError);
@@ -327,7 +327,7 @@ TEST_F(PaillierPirTest, DecodeRejectsOutOfRangeAnswerCiphertexts) {
   for (const std::size_t depth : {1u, 2u}) {
     const PaillierPir pir(pk, kN, depth);
     PaillierPir::ClientState state;
-    const Bytes answer = pir.answer_u64(db, pir.make_query(4, state, prg_), prg_);
+    const Bytes answer = pir.answer_u64(db, pir.make_query(4, state, sk_, prg_), prg_);
     ASSERT_EQ(pir.decode_u64(sk_, answer), db[4]);
     Bytes all_ff = answer;
     std::fill(all_ff.begin() + 1, all_ff.end(), 0xff);  // keep the one-byte count
@@ -359,7 +359,7 @@ TEST_F(PaillierPirTest, DecodeRejectsItemsWiderThanExpected) {
   const PaillierPir pir(sk_.public_key(), kN, 1);
   const std::vector<Bytes> wide(kN, Bytes(16, 0xff));
   PaillierPir::ClientState state;
-  const Bytes answer = pir.answer_bytes(wide, 16, pir.make_query(4, state, prg_), prg_);
+  const Bytes answer = pir.answer_bytes(wide, 16, pir.make_query(4, state, sk_, prg_), prg_);
   EXPECT_THROW(pir.decode_u64(sk_, answer), ProtocolError);
   EXPECT_THROW(pir.decode_bytes(sk_, 8, answer), ProtocolError);
   EXPECT_EQ(pir.decode_bytes(sk_, 16, answer), wide[4]);
@@ -371,7 +371,24 @@ TEST_F(PaillierPirTest, ValidatesGeometry) {
   EXPECT_THROW(PaillierPir(sk_.public_key(), 8, 5), InvalidArgument);
   const PaillierPir pir(sk_.public_key(), 8, 1);
   PaillierPir::ClientState state;
-  EXPECT_THROW(pir.make_query(8, state, prg_), InvalidArgument);
+  EXPECT_THROW(pir.make_query(8, state, sk_, prg_), InvalidArgument);
+}
+
+// The query's factors come from the caller's private key, so a key for
+// another modulus is refused before anything is encrypted: by PaillierPir
+// and by CuckooBatchPir, with or without a pool for the right key.
+TEST_F(PaillierPirTest, MakeQueryRejectsAnotherKey) {
+  crypto::Prg other_prg("cpir-other-key");
+  const he::PaillierPrivateKey other = he::paillier_keygen(other_prg, 256);
+  const PaillierPir pir(sk_.public_key(), 8, 1);
+  PaillierPir::ClientState state;
+  EXPECT_THROW(pir.make_query(3, state, other, prg_), InvalidArgument);
+  const CuckooBatchPir batch(sk_.public_key(), 50, 3, 1);
+  CuckooBatchPir::ClientState batch_state;
+  EXPECT_THROW(batch.make_query({1, 2, 3}, batch_state, other, prg_), InvalidArgument);
+  he::PaillierRandomnessPool pool(sk_.public_key(), crypto::Prg("cpir-other-key-pool"));
+  EXPECT_THROW(batch.make_query({1, 2, 3}, batch_state, other, prg_, &pool), InvalidArgument);
+  EXPECT_NO_THROW(batch.make_query({1, 2, 3}, batch_state, sk_, prg_, &pool));
 }
 
 // ---- CuckooBatchPir ---------------------------------------------------------
@@ -390,7 +407,7 @@ TEST_F(CuckooBatchPirTest, RetrievesBatch) {
   const auto db = make_db(kN, 1u << 20);
   const std::vector<std::size_t> indices = {3, 77, 121, 0, 199, 42, 58, 90};
   CuckooBatchPir::ClientState state;
-  const Bytes q = pir.make_query(indices, state, prg_);
+  const Bytes q = pir.make_query(indices, state, sk_, prg_);
   const Bytes a = pir.answer_u64(db, q, prg_);
   const auto got = pir.decode_u64(sk_, a, state);
   ASSERT_EQ(got.size(), kM);
@@ -404,7 +421,7 @@ TEST_F(CuckooBatchPirTest, DepthTwoBuckets) {
   const std::vector<std::size_t> indices = {10, 20, 30, 140};
   CuckooBatchPir::ClientState state;
   const auto got = pir.decode_u64(
-      sk_, pir.answer_u64(db, pir.make_query(indices, state, prg_), prg_), state);
+      sk_, pir.answer_u64(db, pir.make_query(indices, state, sk_, prg_), prg_), state);
   for (std::size_t j = 0; j < kM; ++j) EXPECT_EQ(got[j], db[indices[j]]);
 }
 
@@ -415,7 +432,7 @@ TEST_F(CuckooBatchPirTest, DuplicateIndicesServedFromDistinctBuckets) {
   const std::vector<std::size_t> indices = {55, 55, 7, 99};
   CuckooBatchPir::ClientState state;
   const auto got = pir.decode_u64(
-      sk_, pir.answer_u64(db, pir.make_query(indices, state, prg_), prg_), state);
+      sk_, pir.answer_u64(db, pir.make_query(indices, state, sk_, prg_), prg_), state);
   for (std::size_t j = 0; j < kM; ++j) EXPECT_EQ(got[j], db[indices[j]]);
 }
 
@@ -427,7 +444,7 @@ TEST_F(CuckooBatchPirTest, ByteItemsRoundTrip) {
   for (auto& item : db) item = data.bytes(kItem);
   const std::vector<std::size_t> indices = {0, 33, 77, 119};
   CuckooBatchPir::ClientState state;
-  const Bytes q = pir.make_query(indices, state, prg_);
+  const Bytes q = pir.make_query(indices, state, sk_, prg_);
   const Bytes a = pir.answer_bytes(db, kItem, q, prg_);
   const auto got = pir.decode_bytes(sk_, kItem, a, state);
   ASSERT_EQ(got.size(), kM);
@@ -454,7 +471,7 @@ TEST_F(CuckooBatchPirTest, DecodeRejectsOutOfRangeAnswerCiphertexts) {
   };
   CuckooBatchPir::ClientState state;
   const auto db = make_db(kN, 1u << 20);
-  const Bytes q = pir.make_query(indices, state, prg_);
+  const Bytes q = pir.make_query(indices, state, sk_, prg_);
   ASSERT_EQ(pir.decode_u64(sk_, pir.answer_u64(db, q, prg_), state)[1], db[30]);
   EXPECT_THROW(pir.decode_u64(sk_, all_ff_answer(1), state), ProtocolError);
   EXPECT_THROW(pir.decode_bytes(sk_, kItem, all_ff_answer((kItem + cb - 1) / cb), state),
@@ -464,8 +481,8 @@ TEST_F(CuckooBatchPirTest, DecodeRejectsOutOfRangeAnswerCiphertexts) {
 TEST_F(CuckooBatchPirTest, Validation) {
   const CuckooBatchPir pir(sk_.public_key(), 50, 3, 1);
   CuckooBatchPir::ClientState state;
-  EXPECT_THROW(pir.make_query({1, 2}, state, prg_), InvalidArgument);
-  EXPECT_THROW(pir.make_query({1, 2, 50}, state, prg_), InvalidArgument);
+  EXPECT_THROW(pir.make_query({1, 2}, state, sk_, prg_), InvalidArgument);
+  EXPECT_THROW(pir.make_query({1, 2, 50}, state, sk_, prg_), InvalidArgument);
 }
 
 // ---- Robust itPIR -----------------------------------------------------------

@@ -168,7 +168,7 @@ TEST_F(PrecompTest, PooledCpirQueryIsByteIdentical) {
 
   pir::PaillierPir::ClientState st_plain, st_cold, st_warm;
   crypto::Prg direct("query-seed");
-  const Bytes q_plain = p.make_query(kN / 3, st_plain, direct);
+  const Bytes q_plain = p.make_query(kN / 3, st_plain, sk_, direct);
 
   PaillierRandomnessPool cold(pk, crypto::Prg("query-seed"));
   EXPECT_EQ(p.make_query(kN / 3, st_cold, cold), q_plain);

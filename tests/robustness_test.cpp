@@ -95,7 +95,7 @@ TEST(Robustness, PaillierPirServerRejectsMalformedQueries) {
   const pir::PaillierPir pir(sk.public_key(), 16, 2);
   std::vector<std::uint64_t> db(16, 9);
   pir::PaillierPir::ClientState state;
-  const Bytes valid = pir.make_query(5, state, prg);
+  const Bytes valid = pir.make_query(5, state, sk, prg);
   fuzz_message(valid, [&](const Bytes& q) { (void)pir.answer_u64(db, q, prg); },
                "cpir-query");
 }
@@ -106,7 +106,7 @@ TEST(Robustness, PaillierPirClientRejectsMalformedAnswers) {
   const pir::PaillierPir pir(sk.public_key(), 16, 2);
   std::vector<std::uint64_t> db(16, 9);
   pir::PaillierPir::ClientState state;
-  const Bytes valid = pir.answer_u64(db, pir.make_query(5, state, prg), prg);
+  const Bytes valid = pir.answer_u64(db, pir.make_query(5, state, sk, prg), prg);
   fuzz_message(valid, [&](const Bytes& a) { (void)pir.decode_u64(sk, a); }, "cpir-answer");
 }
 
@@ -116,7 +116,7 @@ TEST(Robustness, CuckooBatchPirServerRejectsMalformedQueries) {
   const pir::CuckooBatchPir pir(sk.public_key(), 50, 3, 1);
   std::vector<std::uint64_t> db(50, 2);
   pir::CuckooBatchPir::ClientState state;
-  const Bytes valid = pir.make_query({1, 2, 3}, state, prg);
+  const Bytes valid = pir.make_query({1, 2, 3}, state, sk, prg);
   fuzz_message(valid, [&](const Bytes& q) { (void)pir.answer_u64(db, q, prg); },
                "batch-query");
 }
@@ -237,7 +237,7 @@ TEST(TruncationSweep, CpirAnswerEveryPrefix) {
   const pir::PaillierPir pir(sk.public_key(), 16, 2);
   std::vector<std::uint64_t> db(16, 9);
   pir::PaillierPir::ClientState state;
-  const Bytes valid = pir.answer_u64(db, pir.make_query(5, state, prg), prg);
+  const Bytes valid = pir.answer_u64(db, pir.make_query(5, state, sk, prg), prg);
   truncation_sweep(valid, [&](const Bytes& a) { (void)pir.decode_u64(sk, a); }, "cpir-answer");
 }
 
