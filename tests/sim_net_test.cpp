@@ -163,6 +163,22 @@ TEST(SimStarNetworkTest, OutageDropsButMeters) {
   EXPECT_TRUE(net.server_has_message(0));
 }
 
+TEST(SimStarNetworkTest, DelayFaultBecomesConcreteLatency) {
+  FaultPlan plan;
+  plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kDelayHalfRound, 0, 0x01, 0});
+  SimConfig cfg = SimConfig::uniform(1, ServerProfile{}, seed_of("sim-delayfault"));
+  cfg.delay_fault_penalty_us = 5000;
+  SimStarNetwork net(1, cfg, plan);
+  net.client_send(0, Bytes{1});
+  net.server_receive(0);
+  net.server_send(0, Bytes{2});
+  net.set_deadline(4999);
+  EXPECT_THROW(net.client_receive(0), ServerUnavailable);  // delayed past it
+  net.set_deadline(SimStarNetwork::kNoDeadline);
+  EXPECT_EQ(net.client_receive(0), Bytes{2});
+  EXPECT_EQ(net.clock().now_us(), 5000u);
+}
+
 TEST(SimStarNetworkTest, DiscardInFlightClearsWithoutAdvancingClock) {
   ServerProfile p;
   p.base_us = 40;
